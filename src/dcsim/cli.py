@@ -132,6 +132,8 @@ def parse_config(text: str) -> ExperimentSpec:
                 scalars[key] = _SCALAR_KEYS[key](value)
             except ValueError:
                 raise ConfigError("line %d: bad value for %r" % (lineno, key))
+            if key in ("hosts", "vms") and scalars[key] < 1:
+                raise ConfigError("line %d: %r must be at least 1" % (lineno, key))
         elif section == "sweep":
             if key != "pairs":
                 raise ConfigError("line %d: unknown sweep key %r" % (lineno, key))
@@ -306,6 +308,9 @@ def _spec_from_args(args) -> ExperimentSpec:
         value = getattr(args, name)
         if value is not None:
             scenario_overrides[attr] = value
+    for key in ("hosts", "vms"):
+        if getattr(args, key) is not None and getattr(args, key) < 1:
+            raise ConfigError("--%s must be at least 1" % key)
     if args.hosts is not None or args.vms is not None:
         base = spec.scenario
         spec.scenario = default_paper_scenario(

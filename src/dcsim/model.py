@@ -5,6 +5,7 @@ ValueError on violation.  HostState and VmState are the only mutable
 types; they are mutated exclusively by the engine.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -175,8 +176,8 @@ class Scenario:
         elif self.policy == "ST":
             if self.upper_threshold is None or not 0.0 < self.upper_threshold <= 1.0:
                 raise ValueError("ST requires an upper threshold in (0, 1]")
-        if self.frame_seconds <= 0:
-            raise ValueError("frame_seconds must be positive")
+        if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
+            raise ValueError("frame_seconds must be positive and finite")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
 

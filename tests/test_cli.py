@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,12 @@ def test_config_comments_and_blank_lines():
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text", ["hosts = 0", "vms = 0", "vms = -3"])
+def test_config_rejects_an_empty_fleet(text):
+    with pytest.raises(ConfigError, match="line 1: .* must be at least 1"):
         parse_config(text)
 
 
@@ -218,3 +228,33 @@ def test_config_file_with_flag_overrides(tmp_path):
     rows = list(csv.reader(io.StringIO(out.read_text())))
     header = {name: i for i, name in enumerate(rows[0])}
     assert rows[1][header["runs"]] == "1"
+
+
+@pytest.mark.parametrize("flags", [["--vms", "0"], ["--hosts", "0"], ["--hosts", "-1"]])
+def test_empty_fleet_flag_exits_1(capsys, flags):
+    assert main(["--policy", "NPA", "--runs", "1"] + flags) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_empty_fleet_in_config_file_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("vms = 0\n")
+    assert main(["--config", str(cfg)]) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_frame_seconds_exits_1(value):
+    # in a child process with a timeout: a NaN frame once made the
+    # simulation loop run forever
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcsim.cli", "--policy", "MM", "--lower", "30",
+         "--upper", "70", "--runs", "2", "--hosts", "12", "--vms", "24",
+         "--frame-seconds", value],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "frame_seconds must be positive and finite" in proc.stderr
+    assert "Traceback" not in proc.stderr

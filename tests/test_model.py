@@ -135,6 +135,12 @@ def test_scenario_rejects_bad_frame_and_runs():
         _mk_scenario(runs=0)
 
 
+@pytest.mark.parametrize("frame_seconds", [float("nan"), float("inf"), -float("inf")])
+def test_scenario_rejects_non_finite_frame(frame_seconds):
+    with pytest.raises(ValueError, match="finite"):
+        _mk_scenario(frame_seconds=frame_seconds)
+
+
 def test_scenario_rejects_bad_util_step():
     with pytest.raises(ValueError):
         _mk_scenario(util_step=0.0)

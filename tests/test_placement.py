@@ -1,9 +1,12 @@
 """Best-fit-decreasing placement and its power-increase cost."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcsim import HostSnapshot, PlacementRequest, VmRequest, mbfd, power_increase
+from dcsim import (HostSnapshot, PlacementPlan, PlacementRequest, VmRequest, mbfd,
+                   power_increase)
 
 
 def snap(id=0, cap=1000.0, on=True, demand=0.0, ram=8192.0, storage=1024.0,
@@ -145,3 +148,97 @@ def test_mbfd_never_exceeds_threshold_or_resources(host_params, demands, upper):
         if host.id in load:
             assert load[host.id] <= upper * host.mips_capacity + 1e-9
     assert set(plan.assignments) | plan.unplaced == set(range(len(vms)))
+
+
+def reference_mbfd(req: PlacementRequest) -> PlacementPlan:
+    """The plain linear scan ``mbfd`` must match: hosts in id order, the
+    cost from ``power_increase``, and a strictly smaller cost to win."""
+    hosts = sorted((replace(h) for h in req.hosts), key=lambda h: h.id)
+    assignments, unplaced = {}, set()
+    for v in sorted(req.vms, key=lambda v: (-v.demand_mips, v.id)):
+        best = best_delta = None
+        for h in hosts:
+            if (h.id in req.excluded_hosts or not (h.powered_on or req.allow_power_on)
+                    or v.ram_mb > h.ram_free_mb or v.storage_gb > h.storage_free_gb
+                    or h.cpu_demand_mips + v.demand_mips > req.upper_threshold * h.mips_capacity):
+                continue
+            delta = power_increase(h, v.demand_mips)
+            if best is None or delta < best_delta:
+                best, best_delta = h, delta
+        if best is None:
+            unplaced.add(v.id)
+            continue
+        assignments[v.id] = best.id
+        best.powered_on = True
+        best.cpu_demand_mips += v.demand_mips
+        best.ram_free_mb -= v.ram_mb
+        best.storage_free_gb -= v.storage_gb
+    return PlacementPlan(assignments=assignments, unplaced=unplaced)
+
+
+# A mixed fleet: a few host classes (so identical untouched hosts are
+# common and the group-head rule is exercised), each host on or off,
+# with a fractional load when on and RAM or storage that may bind.
+host_class = st.tuples(st.sampled_from([1000.0, 2000.0, 3000.0, 2660.0]),
+                       st.sampled_from([250.0, 135.0, 117.5]),
+                       st.sampled_from([0.7, 0.5, 0.0, 1.0]))
+host_state = st.tuples(st.booleans(),
+                       st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                       st.sampled_from([8192.0, 512.0, 256.0]),
+                       st.sampled_from([1024.0, 3.0, 1.5]))
+vm_params = st.tuples(st.one_of(st.sampled_from([250.0, 500.0, 750.0, 1000.0]),
+                                st.floats(0.0, 1000.0)),
+                      st.sampled_from([128.0, 256.0]),
+                      st.sampled_from([1.0, 2.0]))
+
+
+@st.composite
+def placement_requests(draw):
+    classes = draw(st.lists(host_class, min_size=1, max_size=3))
+    n_hosts = draw(st.integers(1, 12))
+    ids = draw(st.permutations(range(n_hosts)))
+    hosts = []
+    for hid in ids:
+        cap, p_max, k = draw(st.sampled_from(classes))
+        on, load, ram, storage = draw(st.one_of(st.just((False, 0.0, 8192.0, 1024.0)),
+                                                host_state))
+        hosts.append(snap(id=hid, cap=cap, on=on, demand=load * cap if on else 0.0,
+                          ram=ram, storage=storage, p_max=p_max, k=k))
+    vms = [vm(id=i, demand=d, ram=ram, storage=storage)
+           for i, (d, ram, storage) in enumerate(draw(st.lists(vm_params, max_size=25)))]
+    excluded = frozenset(draw(st.lists(st.sampled_from(range(n_hosts)), max_size=2)))
+    return PlacementRequest(vms=vms, hosts=hosts,
+                            upper_threshold=draw(st.sampled_from([1.0, 0.9, 0.7, 0.5])),
+                            allow_power_on=draw(st.booleans()),
+                            excluded_hosts=excluded)
+
+
+@settings(max_examples=400, deadline=None)
+@given(placement_requests())
+def test_mbfd_matches_reference_scan(req):
+    expected = reference_mbfd(req)
+    plan = mbfd(req)
+    assert plan.assignments == expected.assignments
+    assert plan.unplaced == expected.unplaced
+
+
+def test_mbfd_matches_reference_on_identical_idle_hosts():
+    # many untouched copies of two classes: each VM sees one head per class
+    hosts = [snap(id=i, cap=(1000.0, 3000.0)[i % 2], on=i < 4) for i in range(20)]
+    vms = [vm(id=i, demand=(250.0, 500.0, 750.0, 1000.0, 433.9)[i % 5]) for i in range(40)]
+    req = PlacementRequest(vms=vms, hosts=hosts, upper_threshold=0.8)
+    assert mbfd(req) == reference_mbfd(req)
+
+
+@pytest.mark.parametrize("host, demand", [
+    (dict(p_max=0.0), 100.0),
+    (dict(k=1.5), 100.0),
+    (dict(demand=-500.0), 100.0),
+    (dict(), -1.0),
+])
+def test_mbfd_raises_where_the_reference_raises(host, demand):
+    req = PlacementRequest(vms=[vm(id=0, demand=demand)], hosts=[snap(id=0, **host)])
+    with pytest.raises(ValueError):
+        reference_mbfd(req)
+    with pytest.raises(ValueError):
+        mbfd(req)
