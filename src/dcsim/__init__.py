@@ -3,25 +3,25 @@
 __version__ = "0.1.0"
 
 from .model import (HostSpec, VmSpec, HostState, VmState, PlacementPlan,
-                    MigrationPlan, FrameMetrics, RunMetrics, Scenario,
+                    MigrationPlan, FrameMetrics, RunMetrics, PolicyConfig, Scenario,
                     default_paper_scenario)
-from .power import PowerModelParams, EnergyAccumulator, power, accumulate, host_power
+from .power import power, accumulate, host_power
 from .placement import PlacementRequest, HostSnapshot, VmRequest, power_increase, mbfd
-from .policies import (PolicyConfig, reallocate, select_vms_mm, select_vms_hpg,
-                       select_vms_rc, underloaded_hosts)
+from .policies import (reallocate, select_vms_mm, select_vms_hpg, select_vms_rc,
+                       underloaded_hosts)
 from .engine import (SimulationState, InfeasibleScenarioError, initial_placement,
                      share_mips, step, simulate, run)
-from .workload import SeededRng, sample_utilization, child_rng, utilization_at
+from .workload import SeededRng, child_rng, utilization_at
 
 __all__ = [
     "HostSpec", "VmSpec", "HostState", "VmState", "PlacementPlan",
-    "MigrationPlan", "FrameMetrics", "RunMetrics", "Scenario",
+    "MigrationPlan", "FrameMetrics", "RunMetrics", "PolicyConfig", "Scenario",
     "default_paper_scenario",
-    "PowerModelParams", "EnergyAccumulator", "power", "accumulate", "host_power",
+    "power", "accumulate", "host_power",
     "PlacementRequest", "HostSnapshot", "VmRequest", "power_increase", "mbfd",
-    "PolicyConfig", "reallocate", "select_vms_mm", "select_vms_hpg",
+    "reallocate", "select_vms_mm", "select_vms_hpg",
     "select_vms_rc", "underloaded_hosts",
     "SimulationState", "InfeasibleScenarioError", "initial_placement",
     "share_mips", "step", "simulate", "run",
-    "SeededRng", "sample_utilization", "child_rng", "utilization_at",
+    "SeededRng", "child_rng", "utilization_at",
 ]

@@ -17,7 +17,9 @@ line flags take percentages.  An empty config reproduces the default
 seven-row experiment (NPA, DVFS, ST 50/60%, MM 30-70/40-80/50-90%).
 An optional ``[sweep]`` section with ``pairs = 0.3:0.7, 0.4:0.8``
 expands every threshold-taking policy given without thresholds across
-the grid (ST uses the upper value of each pair).
+the grid (ST uses the upper value of each pair).  The expansion happens
+at parse time, so ``spec.policies`` holds one validated row per report
+row.
 """
 
 import argparse
@@ -25,12 +27,12 @@ import csv
 import io
 import statistics
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .engine import InfeasibleScenarioError, run
-from .model import Scenario, default_paper_scenario
-from .policies import PolicyConfig
+from .model import (POLICY_KINDS, STATIC_KINDS, TWO_THRESHOLD_KINDS, PolicyConfig,
+                    Scenario, default_paper_scenario)
 from .workload import child_rng
 
 DEFAULT_POLICIES = (
@@ -55,19 +57,10 @@ class ConfigError(ValueError):
     """Malformed or invalid experiment configuration."""
 
 
-@dataclass(frozen=True)
-class _SweepPolicy:
-    # placeholder for a thresholded policy awaiting [sweep] expansion
-    kind: str
-    lower_threshold: float = None
-    upper_threshold: float = None
-
-
 @dataclass
 class ExperimentSpec:
     scenario: Scenario
-    policies: list
-    threshold_grid: list = field(default_factory=list)
+    policies: list  # one PolicyConfig per report row
     output_path: str = None
 
     def __post_init__(self):
@@ -77,9 +70,7 @@ class ExperimentSpec:
 
 @dataclass
 class ReportRow:
-    policy: str
-    lower_threshold: float
-    upper_threshold: float
+    policy: PolicyConfig
     energy_kwh_mean: float
     energy_kwh_std: float
     sla_pct_mean: float
@@ -151,19 +142,18 @@ def parse_config(text: str) -> ExperimentSpec:
             except ValueError:
                 raise ConfigError("line %d: bad value for %r" % (lineno, key))
 
+    # [sweep] may follow the [policy] sections, so expand only now
     policies = []
     for sec in policy_sections:
         if "kind" not in sec:
             raise ConfigError("[policy] section missing 'kind'")
         kind, lower, upper = sec["kind"], sec.get("lower"), sec.get("upper")
-        if (sweep_pairs and lower is None and upper is None
-                and kind in ("ST", "MM", "HPG", "RC")):
-            # thresholds come from the [sweep] grid at expansion time
-            policies.append(_SweepPolicy(kind))
-            continue
+        grid = [(lower, upper)]
+        if sweep_pairs and lower is None and upper is None and kind not in STATIC_KINDS:
+            grid = [(lo if kind in TWO_THRESHOLD_KINDS else None, hi)
+                    for lo, hi in sorted(sweep_pairs)]
         try:
-            policies.append(PolicyConfig(kind=kind, lower_threshold=lower,
-                                         upper_threshold=upper))
+            policies += [PolicyConfig(kind, lo, hi) for lo, hi in grid]
         except ValueError as exc:
             raise ConfigError(str(exc))
     if not policies:
@@ -176,25 +166,7 @@ def parse_config(text: str) -> ExperimentSpec:
         n_hosts=scalars.get("hosts", 100),
         n_vms=scalars.get("vms", 290))
     return ExperimentSpec(scenario=scenario, policies=policies,
-                          threshold_grid=sweep_pairs,
                           output_path=scalars.get("out"))
-
-
-def expand_rows(spec: ExperimentSpec) -> list:
-    """One PolicyConfig per report row, grid-expanded where applicable."""
-    rows = []
-    for p in spec.policies:
-        if p.kind in ("NPA", "DVFS") or p.upper_threshold is not None:
-            rows.append(p)
-        elif spec.threshold_grid:
-            for lo, hi in sorted(spec.threshold_grid):
-                if p.kind == "ST":
-                    rows.append(PolicyConfig("ST", upper_threshold=hi))
-                else:
-                    rows.append(PolicyConfig(p.kind, lo, hi))
-        else:
-            raise ConfigError("policy %s needs thresholds or a [sweep] grid" % p.kind)
-    return rows
 
 
 def _std(values):
@@ -205,19 +177,15 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     """Execute every (policy, thresholds) row over `runs` child-seeded runs."""
     base = spec.scenario
     rows = []
-    for p in expand_rows(spec):
-        scenario = replace(base, policy=p.kind,
-                           lower_threshold=p.lower_threshold,
-                           upper_threshold=p.upper_threshold)
+    for p in spec.policies:
+        scenario = replace(base, policy=p)
         try:
             results = [run(scenario, seed=child_rng(base.seed, i).seed)
                        for i in range(base.runs)]
         except InfeasibleScenarioError as exc:
             raise InfeasibleScenarioError("%s (policy row %s)" % (exc, p.kind))
         rows.append(ReportRow(
-            policy=p.kind,
-            lower_threshold=p.lower_threshold,
-            upper_threshold=p.upper_threshold,
+            policy=p,
             energy_kwh_mean=statistics.fmean(r.energy_kwh for r in results),
             energy_kwh_std=_std([r.energy_kwh for r in results]),
             sla_pct_mean=statistics.fmean(r.sla_violation_pct for r in results),
@@ -240,11 +208,12 @@ def _fmt(value, places=6):
 
 
 def _row_cells(row: ReportRow, meta):
-    static = row.policy in ("NPA", "DVFS")
+    p = row.policy
+    static = p.kind in STATIC_KINDS
     return [
-        row.policy,
-        _fmt(None if row.lower_threshold is None else 100.0 * row.lower_threshold, 1),
-        _fmt(None if row.upper_threshold is None else 100.0 * row.upper_threshold, 1),
+        p.kind,
+        _fmt(None if p.lower_threshold is None else 100.0 * p.lower_threshold, 1),
+        _fmt(None if p.upper_threshold is None else 100.0 * p.upper_threshold, 1),
         _fmt(row.energy_kwh_mean), _fmt(row.energy_kwh_std),
         "" if static else _fmt(row.sla_pct_mean),
         "" if static else _fmt(row.sla_pct_std),
@@ -283,7 +252,7 @@ def build_parser():
                      description="Energy-aware VM consolidation experiments")
     parser.add_argument("--config", help="experiment config file")
     parser.add_argument("--policy", action="append",
-                        help="policy to run (repeatable): NPA, DVFS, ST, MM, HPG, RC")
+                        help="policy to run (repeatable): " + ", ".join(POLICY_KINDS))
     parser.add_argument("--lower", type=float, help="lower threshold, percent")
     parser.add_argument("--upper", type=float, help="upper threshold, percent")
     parser.add_argument("--seed", type=int, help="master RNG seed")
@@ -319,17 +288,23 @@ def _spec_from_args(args) -> ExperimentSpec:
             n_vms=args.vms if args.vms is not None else len(base.vms))
     if scenario_overrides:
         spec.scenario = replace(spec.scenario, **scenario_overrides)
+    lower = None if args.lower is None else args.lower / 100.0
+    upper = None if args.upper is None else args.upper / 100.0
     if args.policy:
-        lower = None if args.lower is None else args.lower / 100.0
-        upper = None if args.upper is None else args.upper / 100.0
         try:
             spec.policies = [
                 PolicyConfig(kind,
-                             lower_threshold=lower if kind in ("MM", "HPG", "RC") else None,
-                             upper_threshold=upper if kind in ("ST", "MM", "HPG", "RC") else None)
+                             lower if kind in TWO_THRESHOLD_KINDS else None,
+                             upper if kind not in STATIC_KINDS else None)
                 for kind in args.policy]
         except ValueError as exc:
             raise ConfigError(str(exc))
+    # the flags apply only to --policy rows; a flag no row takes is an error
+    kinds = args.policy or []
+    if lower is not None and not any(k in TWO_THRESHOLD_KINDS for k in kinds):
+        raise ConfigError("--lower needs a --policy of %s" % ", ".join(TWO_THRESHOLD_KINDS))
+    if upper is not None and all(k in STATIC_KINDS for k in kinds):
+        raise ConfigError("--upper needs a --policy other than %s" % ", ".join(STATIC_KINDS))
     if args.out is not None:
         spec.output_path = args.out
     return spec

@@ -11,10 +11,10 @@ and the policy reacts to the loads it just observed.
 import math
 from dataclasses import dataclass, field
 
-from .model import FrameMetrics, HostState, RunMetrics, Scenario, VmState
-from .power import EnergyAccumulator, accumulate, host_power
+from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, RunMetrics,
+                    Scenario, VmState)
+from .power import accumulate, host_power
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
-from .policies import PolicyConfig
 from . import policies
 from .workload import SeededRng, walk_utilization
 
@@ -23,8 +23,8 @@ from .workload import SeededRng, walk_utilization
 # power with load but performs no consolidation at run time, so a host
 # that empties out stays on at idle; the migrating policies switch
 # emptied hosts off.
-POWER_MANAGED = ("DVFS", "ST", "MM", "HPG", "RC")
-CONSOLIDATING = ("ST", "MM", "HPG", "RC")
+POWER_MANAGED = tuple(k for k in POLICY_KINDS if k != "NPA")
+CONSOLIDATING = tuple(k for k in POLICY_KINDS if k not in STATIC_KINDS)
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -38,19 +38,13 @@ class SimulationState:
     hosts: list
     vms: list
     rng: SeededRng
-    accumulator: EnergyAccumulator
+    energy_wh: float = 0.0
     frames: list = field(default_factory=list)
     # current utilization fraction per VM id, advanced by the random walk
     utilization: dict = field(default_factory=dict)
 
     def active_vms(self):
         return [vm for vm in self.vms if not vm.completed]
-
-
-def _policy_config(scenario: Scenario) -> PolicyConfig:
-    return PolicyConfig(kind=scenario.policy,
-                        lower_threshold=scenario.lower_threshold,
-                        upper_threshold=scenario.upper_threshold)
 
 
 def initial_placement(scenario: Scenario, seed=None) -> SimulationState:
@@ -72,7 +66,7 @@ def initial_placement(scenario: Scenario, seed=None) -> SimulationState:
             "cannot place %d VM(s) at requested capacity" % len(plan.unplaced))
 
     used = set(plan.assignments.values())
-    power_managed = scenario.policy in POWER_MANAGED
+    power_managed = scenario.policy.kind in POWER_MANAGED
     hosts = []
     for h in scenario.hosts:
         on = (h.id in used) if power_managed else True
@@ -86,7 +80,7 @@ def initial_placement(scenario: Scenario, seed=None) -> SimulationState:
                            remaining_work_mi=v.total_work_mi))
     rng = SeededRng(scenario.seed if seed is None else seed)
     return SimulationState(clock_s=0.0, frame_index=0, hosts=hosts, vms=vms,
-                           rng=rng, accumulator=EnergyAccumulator())
+                           rng=rng)
 
 
 def share_mips(host: HostState, demands) -> dict:
@@ -140,14 +134,13 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
                 shortfall_sum += (demands[v] - a) / demands[v]
 
     # 3. energy for the frame; NPA draws peak power everywhere, always
-    frame_wh_before = state.accumulator.total_wh
+    npa = scenario.policy.kind == "NPA"
+    frame_wh_before = total_wh = state.energy_wh
     for host in state.hosts:
-        if scenario.policy == "NPA":
-            p = host.spec.p_max_watts
-        else:
-            p = host_power(host, allocations)
-        accumulate(state.accumulator, p, dt)
-    frame_wh = state.accumulator.total_wh - frame_wh_before
+        p = host.spec.p_max_watts if npa else host_power(host, allocations)
+        total_wh = accumulate(total_wh, p, dt)
+    state.energy_wh = total_wh
+    frame_wh = total_wh - frame_wh_before
 
     # 4. advance work; completed VMs leave their hosts for good
     by_id = {h.spec.id: h for h in state.hosts}
@@ -163,8 +156,7 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
 
     # 5. policy reallocation, applied atomically
     still_active = {vm.spec.id: vm for vm in active if not vm.completed}
-    plan = policies.reallocate(_policy_config(scenario), state.hosts,
-                               still_active, state.rng)
+    plan = policies.reallocate(scenario.policy, state.hosts, still_active, state.rng)
     for v, src, dst in plan.moves:
         if src is not None:
             by_id[src].resident_vms.remove(v)
@@ -174,7 +166,7 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
         still_active[v].host_id = dst
 
     # 6. power management
-    if scenario.policy in CONSOLIDATING:
+    if scenario.policy.kind in CONSOLIDATING:
         for host in state.hosts:
             if host.powered_on and not host.resident_vms:
                 host.powered_on = False
@@ -197,7 +189,7 @@ def simulate(scenario: Scenario, seed=None, sampler=None):
     measurements = sum(f.measurements for f in state.frames)
     shortfall = math.fsum(f.shortfall_sum for f in state.frames)
     metrics = RunMetrics(
-        energy_kwh=state.accumulator.total_wh / 1000.0,
+        energy_kwh=state.energy_wh / 1000.0,
         sla_violation_pct=100.0 * violations / measurements if measurements else 0.0,
         migration_count=sum(f.migrations for f in state.frames),
         avg_sla_pct=100.0 * shortfall / violations if violations else 0.0,

@@ -10,10 +10,21 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 POLICY_KINDS = ("NPA", "DVFS", "ST", "MM", "HPG", "RC")
+# NPA and DVFS take no thresholds and never migrate; ST takes an upper
+# threshold only; the two-threshold kinds take both.
+STATIC_KINDS = ("NPA", "DVFS")
 TWO_THRESHOLD_KINDS = ("MM", "HPG", "RC")
 
 HOST_MIPS_CLASSES = (1000.0, 2000.0, 3000.0)
 VM_MIPS_CLASSES = (250.0, 500.0, 750.0, 1000.0)
+
+
+def check_power_curve(p_max_watts, idle_fraction):
+    """Raise ValueError unless (P_max, k) define a valid linear power curve."""
+    if p_max_watts <= 0:
+        raise ValueError("p_max_watts must be positive")
+    if not 0.0 <= idle_fraction <= 1.0:
+        raise ValueError("idle_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -32,10 +43,7 @@ class HostSpec:
             raise ValueError("ram_mb must be positive")
         if self.storage_gb <= 0:
             raise ValueError("storage_gb must be positive")
-        if self.p_max_watts <= 0:
-            raise ValueError("p_max_watts must be positive")
-        if not 0.0 <= self.idle_fraction <= 1.0:
-            raise ValueError("idle_fraction must be in [0, 1]")
+        check_power_curve(self.p_max_watts, self.idle_fraction)
 
 
 @dataclass(frozen=True)
@@ -127,8 +135,8 @@ class FrameMetrics:
             raise ValueError("counts must be non-negative")
         if self.violation_events > self.measurements:
             raise ValueError("violation_events cannot exceed measurements")
-        if self.energy_wh < 0:
-            raise ValueError("energy_wh must be non-negative")
+        if not (math.isfinite(self.energy_wh) and self.energy_wh >= 0):
+            raise ValueError("energy_wh must be finite and non-negative")
         if not 0.0 <= self.shortfall_sum <= self.violation_events:
             raise ValueError("shortfall_sum must be in [0, violation_events]")
 
@@ -151,12 +159,33 @@ class RunMetrics:
 
 
 @dataclass(frozen=True)
+class PolicyConfig:
+    """A policy kind and its utilization thresholds, as fractions of capacity."""
+
+    kind: str
+    lower_threshold: Optional[float] = None
+    upper_threshold: Optional[float] = None
+
+    def __post_init__(self):
+        if self.kind not in POLICY_KINDS:
+            raise ValueError("unknown policy %r" % (self.kind,))
+        if self.kind in TWO_THRESHOLD_KINDS:
+            if self.lower_threshold is None or self.upper_threshold is None:
+                raise ValueError("%s requires lower and upper thresholds" % self.kind)
+            if not 0.0 <= self.lower_threshold < self.upper_threshold <= 1.0:
+                raise ValueError("need 0 <= lower < upper <= 1")
+        elif self.kind in STATIC_KINDS:
+            if self.lower_threshold is not None or self.upper_threshold is not None:
+                raise ValueError("%s takes no thresholds" % self.kind)
+        elif self.upper_threshold is None or not 0.0 < self.upper_threshold <= 1.0:
+            raise ValueError("ST requires an upper threshold in (0, 1]")
+
+
+@dataclass(frozen=True)
 class Scenario:
     hosts: tuple
     vms: tuple
-    policy: str
-    lower_threshold: Optional[float] = None
-    upper_threshold: Optional[float] = None
+    policy: PolicyConfig
     frame_seconds: float = 30.0
     seed: int = 42
     runs: int = 10
@@ -164,18 +193,10 @@ class Scenario:
     util_step: float = 0.2
 
     def __post_init__(self):
+        if not isinstance(self.policy, PolicyConfig):
+            raise ValueError("policy must be a PolicyConfig")
         if not 0.0 < self.util_step <= 1.0:
             raise ValueError("util_step must be in (0, 1]")
-        if self.policy not in POLICY_KINDS:
-            raise ValueError("unknown policy %r" % (self.policy,))
-        if self.policy in TWO_THRESHOLD_KINDS:
-            if self.lower_threshold is None or self.upper_threshold is None:
-                raise ValueError("%s requires lower and upper thresholds" % self.policy)
-            if not 0.0 <= self.lower_threshold < self.upper_threshold <= 1.0:
-                raise ValueError("need 0 <= lower < upper <= 1")
-        elif self.policy == "ST":
-            if self.upper_threshold is None or not 0.0 < self.upper_threshold <= 1.0:
-                raise ValueError("ST requires an upper threshold in (0, 1]")
         if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
             raise ValueError("frame_seconds must be positive and finite")
         if self.runs < 1:
@@ -205,7 +226,6 @@ def default_paper_scenario(policy="NPA", lower_threshold=None, upper_threshold=N
                total_work_mi=150000.0)
         for i in range(n_vms)
     )
-    return Scenario(hosts=hosts, vms=vms, policy=policy,
-                    lower_threshold=lower_threshold,
-                    upper_threshold=upper_threshold,
+    return Scenario(hosts=hosts, vms=vms,
+                    policy=PolicyConfig(policy, lower_threshold, upper_threshold),
                     frame_seconds=frame_seconds, seed=seed, runs=runs)

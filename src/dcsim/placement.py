@@ -10,8 +10,8 @@ from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .model import HostState, PlacementPlan
-from .power import PowerModelParams, power
+from .model import HostState, PlacementPlan, check_power_curve
+from .power import power
 
 
 @dataclass
@@ -67,12 +67,12 @@ def power_increase(host: HostSnapshot, vm_demand_mips: float) -> float:
     """
     if vm_demand_mips < 0:
         raise ValueError("vm_demand_mips must be non-negative")
-    params = PowerModelParams(host.p_max_watts, host.idle_fraction)
+    check_power_curve(host.p_max_watts, host.idle_fraction)
     u_after = min(1.0, (host.cpu_demand_mips + vm_demand_mips) / host.mips_capacity)
     if not host.powered_on:
-        return power(params, u_after)
+        return power(host, u_after)
     u_before = min(1.0, host.cpu_demand_mips / host.mips_capacity)
-    return power(params, u_after) - power(params, u_before)
+    return power(host, u_after) - power(host, u_before)
 
 
 def mbfd(req: PlacementRequest) -> PlacementPlan:
@@ -104,10 +104,7 @@ def mbfd(req: PlacementRequest) -> PlacementPlan:
         if h.id in excluded or not (h.powered_on or allow_power_on):
             continue
         cap, p_max, k, cpu = h.mips_capacity, h.p_max_watts, h.idle_fraction, h.cpu_demand_mips
-        if p_max <= 0:
-            raise ValueError("p_max_watts must be positive")
-        if not 0.0 <= k <= 1.0:
-            raise ValueError("idle_fraction must be in [0, 1]")
+        check_power_curve(p_max, k)
         u = min(1.0, cpu / cap)
         if not 0.0 <= u <= 1.0:
             raise ValueError("utilization must be in [0, 1]")

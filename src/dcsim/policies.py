@@ -12,33 +12,8 @@ picked from an overloaded host:
     RC  - uniformly random VMs until the host is under the threshold
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .model import (HostState, MigrationPlan, POLICY_KINDS, TWO_THRESHOLD_KINDS)
+from .model import STATIC_KINDS, HostState, MigrationPlan, PolicyConfig
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
-
-
-@dataclass(frozen=True)
-class PolicyConfig:
-    kind: str
-    lower_threshold: Optional[float] = None
-    upper_threshold: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError("unknown policy %r" % (self.kind,))
-        if self.kind in TWO_THRESHOLD_KINDS:
-            if self.lower_threshold is None or self.upper_threshold is None:
-                raise ValueError("%s requires lower and upper thresholds" % self.kind)
-            if not 0.0 <= self.lower_threshold < self.upper_threshold <= 1.0:
-                raise ValueError("need 0 <= lower < upper <= 1")
-        elif self.kind == "ST":
-            if self.upper_threshold is None or not 0.0 < self.upper_threshold <= 1.0:
-                raise ValueError("ST requires an upper threshold in (0, 1]")
-        else:
-            if self.lower_threshold is not None or self.upper_threshold is not None:
-                raise ValueError("%s takes no thresholds" % self.kind)
 
 
 def host_utilization(host: HostState, vms) -> float:
@@ -106,7 +81,7 @@ def select_vms_rc(host: HostState, vms, upper_threshold: float, rng) -> list:
     return picked
 
 
-def _snapshot(host: HostState, vms, skip=frozenset()) -> HostSnapshot:
+def _snapshot(host: HostState, vms, skip) -> HostSnapshot:
     resident = [v for v in host.resident_vms if v not in skip]
     return HostSnapshot.from_state(
         host,
@@ -128,7 +103,7 @@ def reallocate(config: PolicyConfig, hosts, vms, rng) -> MigrationPlan:
     for every active VM.  The returned plan never moves a VM to the host
     it already occupies.
     """
-    if config.kind in ("NPA", "DVFS"):
+    if config.kind in STATIC_KINDS:
         return MigrationPlan(moves=[])
     if config.kind == "ST":
         return _reallocate_st(config, hosts, vms)
@@ -139,7 +114,7 @@ def _reallocate_st(config, hosts, vms):
     # Full per-frame repacking: place every active VM against the fleet
     # stripped of residents, keeping current power states so activation
     # of off hosts stays penalized.
-    snapshots = [_snapshot(h, vms, skip=set(h.resident_vms)) for h in hosts]
+    snapshots = [HostSnapshot.from_state(h, 0.0, 0.0, 0.0) for h in hosts]
     plan = mbfd(PlacementRequest(vms=_request(vms.keys(), vms), hosts=snapshots,
                                  upper_threshold=config.upper_threshold))
     moves = [(v, vms[v].host_id, dst) for v, dst in plan.assignments.items()
@@ -180,7 +155,8 @@ def _reallocate_two_threshold(config, hosts, vms, rng):
     # below the lower threshold and bounce back.  Underloaded hosts stay
     # eligible as targets; spill landing on one lifts it toward the
     # lower threshold and cancels its evacuation.
-    snapshots = [_snapshot(h, vms, skip=set(over_selected)) for h in hosts]
+    skip = set(over_selected)
+    snapshots = [_snapshot(h, vms, skip) for h in hosts]
     if over_selected:
         plan = mbfd(PlacementRequest(vms=_request(over_selected, vms),
                                      hosts=snapshots,

@@ -9,48 +9,28 @@ Energy is the rectangle-rule integral of P over time; utilization is
 piecewise-constant per frame, so the rule is exact.
 """
 
-from dataclasses import dataclass
-
 from .model import HostState
 
 
-@dataclass(frozen=True)
-class PowerModelParams:
-    p_max_watts: float
-    idle_fraction: float
+def power(spec, u: float) -> float:
+    """Instantaneous power draw in watts at CPU utilization ``u``.
 
-    def __post_init__(self):
-        if self.p_max_watts <= 0:
-            raise ValueError("p_max_watts must be positive")
-        if not 0.0 <= self.idle_fraction <= 1.0:
-            raise ValueError("idle_fraction must be in [0, 1]")
-
-
-@dataclass
-class EnergyAccumulator:
-    total_wh: float = 0.0
-
-    def __post_init__(self):
-        if self.total_wh < 0:
-            raise ValueError("total_wh must be non-negative")
-
-
-def power(params: PowerModelParams, u: float) -> float:
-    """Instantaneous power draw in watts at CPU utilization ``u``."""
+    ``spec`` is anything with ``p_max_watts`` and ``idle_fraction``, such
+    as a HostSpec or a HostSnapshot.
+    """
     if not 0.0 <= u <= 1.0:
         raise ValueError("utilization must be in [0, 1]")
-    k = params.idle_fraction
-    return k * params.p_max_watts + (1.0 - k) * params.p_max_watts * u
+    k = spec.idle_fraction
+    return k * spec.p_max_watts + (1.0 - k) * spec.p_max_watts * u
 
 
-def accumulate(acc: EnergyAccumulator, p_watts: float, dt_seconds: float) -> EnergyAccumulator:
-    """Add ``p_watts`` drawn for ``dt_seconds`` to the accumulator."""
+def accumulate(total_wh: float, p_watts: float, dt_seconds: float) -> float:
+    """Return ``total_wh`` plus ``p_watts`` drawn for ``dt_seconds``, in Wh."""
     if p_watts < 0:
         raise ValueError("power must be non-negative")
     if dt_seconds < 0:
         raise ValueError("duration must be non-negative")
-    acc.total_wh += p_watts * dt_seconds / 3600.0
-    return acc
+    return total_wh + p_watts * dt_seconds / 3600.0
 
 
 def host_power(host: HostState, demands) -> float:
@@ -63,5 +43,4 @@ def host_power(host: HostState, demands) -> float:
         return 0.0
     total = sum(demands[vm_id] for vm_id in host.resident_vms)
     u = min(1.0, total / host.spec.mips_capacity)
-    params = PowerModelParams(host.spec.p_max_watts, host.spec.idle_fraction)
-    return power(params, u)
+    return power(host.spec, u)

@@ -63,11 +63,6 @@ class SeededRng:
         return _to_unit(_mix_key(self.seed, *keys))
 
 
-def sample_utilization(rng: SeededRng) -> float:
-    """One uniform CPU-utilization sample in [0, 1) from the sequential stream."""
-    return rng.next_u01()
-
-
 def utilization_at(seed: int, vm_id: int, frame_index: int) -> float:
     """Keyed utilization sample for a VM in a frame; pure in its arguments."""
     return _to_unit(_mix_key(seed & _MASK64, vm_id, frame_index))

@@ -12,8 +12,8 @@ import statistics
 
 import pytest
 
-from dcsim import (HostSnapshot, PlacementRequest, PowerModelParams,
-                   VmRequest, default_paper_scenario, mbfd, power, simulate)
+from dcsim import (HostSnapshot, PlacementRequest, VmRequest,
+                   default_paper_scenario, mbfd, power, simulate)
 from dcsim.model import HostSpec, HostState, VmSpec, VmState
 from dcsim.policies import select_vms_mm
 from dcsim.workload import SeededRng, child_rng
@@ -66,7 +66,8 @@ def mean_migrations(table, name):
 
 
 def test_criterion_01_power_model_exactness():
-    params = PowerModelParams(p_max_watts=250.0, idle_fraction=0.7)
+    params = HostSpec(id=0, mips_capacity=1000.0, ram_mb=8192.0, storage_gb=1024.0,
+                      p_max_watts=250.0, idle_fraction=0.7)
     exact = power(params, 0.0) == 175.0 and power(params, 1.0) == 250.0
     p0, p1 = power(params, 0.0), power(params, 1.0)
     affine = all(

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from dcsim.cli import (CSV_COLUMNS, ConfigError, DEFAULT_POLICIES, emit_report,
-                       expand_rows, main, parse_config, run_experiment)
-from dcsim.policies import PolicyConfig
+                       main, parse_config, run_experiment)
+from dcsim.model import PolicyConfig
 
 
 def test_empty_config_gives_default_experiment():
@@ -79,20 +79,14 @@ def test_config_errors_carry_line_numbers():
 
 
 def test_sweep_expands_threshold_grid():
-    spec = parse_config("""
-        [policy]
-        kind = MM
-
-        [policy]
-        kind = ST
-
-        [sweep]
-        pairs = 0.3:0.7, 0.4:0.8
-    """)
-    rows = expand_rows(spec)
-    assert rows == [PolicyConfig("MM", 0.3, 0.7), PolicyConfig("MM", 0.4, 0.8),
-                    PolicyConfig("ST", upper_threshold=0.7),
-                    PolicyConfig("ST", upper_threshold=0.8)]
+    policies = "[policy]\nkind = MM\n[policy]\nkind = ST\n[policy]\nkind = NPA\n"
+    sweep = "[sweep]\npairs = 0.4:0.8, 0.3:0.7\n"
+    expected = [PolicyConfig("MM", 0.3, 0.7), PolicyConfig("MM", 0.4, 0.8),
+                PolicyConfig("ST", upper_threshold=0.7),
+                PolicyConfig("ST", upper_threshold=0.8), PolicyConfig("NPA")]
+    assert parse_config(policies + sweep).policies == expected
+    # a [sweep] before the [policy] sections expands them all the same
+    assert parse_config(sweep + policies).policies == expected
 
 
 def test_policy_without_thresholds_or_grid_is_an_error():
@@ -193,6 +187,36 @@ def test_policy_flag_repeats(tmp_path):
     assert rc == 0
     rows = list(csv.reader(io.StringIO(out.read_text())))
     assert [r[0] for r in rows[1:]] == ["NPA", "DVFS"]
+
+
+def test_threshold_flags_apply_to_the_policies_that_take_them(tmp_path):
+    out = tmp_path / "r.csv"
+    rc = main(["--policy", "NPA", "--policy", "MM", "--lower", "30", "--upper", "70",
+               "--hosts", "12", "--vms", "24", "--runs", "1", "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert [r[:3] for r in rows[1:]] == [["NPA", "", ""], ["MM", "30", "70"]]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--upper", "50"],
+    ["--lower", "30"],
+    ["--policy", "NPA", "--policy", "DVFS", "--upper", "50"],
+    ["--policy", "ST", "--lower", "30", "--upper", "50"],
+])
+def test_threshold_flag_no_policy_takes_exits_1(capsys, flags):
+    assert main(flags + ["--hosts", "12", "--vms", "24", "--runs", "1"]) == 1
+    assert "needs a --policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["NPA", "DVFS"])
+def test_overflowing_frame_energy_exits_1(capsys, policy):
+    # 1e306 s frames overflow the frame energy to inf; a later frame's
+    # energy would be inf - inf = nan
+    rc = main(["--policy", policy, "--frame-seconds", "1e306", "--runs", "2",
+               "--hosts", "12", "--vms", "24"])
+    assert rc == 1
+    assert "energy_wh must be finite" in capsys.readouterr().err
 
 
 def test_validation_error_exits_1(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from dcsim import (InfeasibleScenarioError, default_paper_scenario,
                    initial_placement, run, share_mips, simulate, step)
-from dcsim.model import HostSpec, Scenario, VmSpec
+from dcsim.model import HostSpec, PolicyConfig, Scenario, VmSpec
 from dcsim.workload import child_rng
 
 
@@ -20,7 +20,7 @@ def small_scenario(policy="DVFS", n_hosts=2, vm_mips=(250.0,), frame=60.0,
     vms = tuple(VmSpec(id=i, requested_mips=m, ram_mb=128.0, storage_gb=1.0,
                        total_work_mi=work)
                 for i, m in enumerate(vm_mips))
-    return Scenario(hosts=hosts, vms=vms, policy=policy,
+    return Scenario(hosts=hosts, vms=vms, policy=PolicyConfig(policy),
                     frame_seconds=frame, **kw)
 
 

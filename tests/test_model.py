@@ -4,7 +4,7 @@ import pytest
 
 from dcsim.model import (HOST_MIPS_CLASSES, VM_MIPS_CLASSES, FrameMetrics,
                          HostSpec, HostState, MigrationPlan, PlacementPlan,
-                         RunMetrics, Scenario, VmSpec, VmState,
+                         PolicyConfig, RunMetrics, Scenario, VmSpec, VmState,
                          default_paper_scenario)
 
 
@@ -99,10 +99,9 @@ def test_run_metrics_percent_ranges():
                    avg_sla_pct=0.0, sim_duration_s=1.0)
 
 
-def _mk_scenario(**kw):
-    base = dict(hosts=(host_spec(),), vms=(vm_spec(),), policy="NPA")
-    base.update(kw)
-    return Scenario(**base)
+def _mk_scenario(policy="NPA", lower_threshold=None, upper_threshold=None, **kw):
+    return Scenario(hosts=(host_spec(),), vms=(vm_spec(),),
+                    policy=PolicyConfig(policy, lower_threshold, upper_threshold), **kw)
 
 
 def test_scenario_two_threshold_policies_require_both_thresholds():
@@ -121,6 +120,15 @@ def test_scenario_st_requires_upper_only():
     _mk_scenario(policy="ST", upper_threshold=0.5)
     with pytest.raises(ValueError):
         _mk_scenario(policy="ST")
+
+
+@pytest.mark.parametrize("policy", ["NPA", "DVFS"])
+def test_scenario_static_policies_take_no_thresholds(policy):
+    _mk_scenario(policy=policy)
+    with pytest.raises(ValueError, match="takes no thresholds"):
+        _mk_scenario(policy=policy, lower_threshold=0.3, upper_threshold=0.7)
+    with pytest.raises(ValueError, match="takes no thresholds"):
+        _mk_scenario(policy=policy, upper_threshold=0.5)
 
 
 def test_scenario_rejects_unknown_policy():

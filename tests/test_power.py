@@ -5,10 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsim import EnergyAccumulator, PowerModelParams, accumulate, host_power, power
+from dcsim import accumulate, host_power, power
 from dcsim.model import HostSpec, HostState
 
-DEFAULT_PARAMS = PowerModelParams(p_max_watts=250.0, idle_fraction=0.7)
+DEFAULT_PARAMS = HostSpec(id=0, mips_capacity=1000.0, ram_mb=8192.0, storage_gb=1024.0,
+                          p_max_watts=250.0, idle_fraction=0.7)
 
 
 def test_idle_and_peak_power_exact():
@@ -49,16 +50,12 @@ def test_power_monotone(u1, u2):
 
 def test_accumulate_rectangle_rule():
     # 1800 s at idle plus 1800 s at peak
-    acc = EnergyAccumulator()
-    accumulate(acc, 175.0, 1800.0)
-    accumulate(acc, 250.0, 1800.0)
-    assert acc.total_wh == pytest.approx(212.5)
+    total = accumulate(accumulate(0.0, 175.0, 1800.0), 250.0, 1800.0)
+    assert total == pytest.approx(212.5)
 
 
 def test_accumulate_watt_second_conversion():
-    acc = EnergyAccumulator()
-    accumulate(acc, 3600.0, 1.0)
-    assert acc.total_wh == pytest.approx(1.0)
+    assert accumulate(0.0, 3600.0, 1.0) == pytest.approx(1.0)
 
 
 def _host(cap=1000.0, on=True, residents=()):

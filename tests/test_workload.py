@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsim.workload import (SeededRng, child_rng, reflect_unit,
-                            sample_utilization, utilization_at,
+from dcsim.workload import (SeededRng, child_rng, reflect_unit, utilization_at,
                             utilization_walk, walk_utilization)
 
 
@@ -72,11 +71,6 @@ def test_draw_bookkeeping_counts_both_kinds():
     rng.keyed_u01(0, 0)
     rng.randbelow(3)
     assert rng.draws == 3
-
-
-def test_sample_utilization_in_unit_interval():
-    rng = SeededRng(8)
-    assert all(0.0 <= sample_utilization(rng) < 1.0 for _ in range(100))
 
 
 def test_child_rng_independent_streams():
