@@ -9,7 +9,7 @@ headline metrics. The full-size experiment is the CLI's job:
 
 import statistics
 
-from dcsim import default_paper_scenario, run
+from dcsim import default_paper_scenario, simulate
 from dcsim.workload import child_rng
 
 POLICIES = [
@@ -28,7 +28,7 @@ for policy, lo, hi in POLICIES:
     sc = default_paper_scenario(policy=policy, lower_threshold=lo,
                                 upper_threshold=hi, n_hosts=30, n_vms=87,
                                 runs=3)
-    results = [run(sc, seed=child_rng(sc.seed, i).seed) for i in range(sc.runs)]
+    results = [simulate(sc, seed=child_rng(sc.seed, i).seed)[1] for i in range(sc.runs)]
     energy = statistics.fmean(r.energy_kwh for r in results)
     sla = statistics.fmean(r.sla_violation_pct for r in results)
     migr = statistics.fmean(r.migration_count for r in results)

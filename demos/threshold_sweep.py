@@ -8,7 +8,7 @@ less headroom for demand spikes.
 
 import statistics
 
-from dcsim import default_paper_scenario, run
+from dcsim import default_paper_scenario, simulate
 from dcsim.workload import child_rng
 
 BANDS = [(0.3, 0.7), (0.4, 0.8), (0.5, 0.9)]
@@ -18,7 +18,7 @@ for lo, hi in BANDS:
     sc = default_paper_scenario(policy="MM", lower_threshold=lo,
                                 upper_threshold=hi, n_hosts=30, n_vms=87,
                                 runs=3)
-    results = [run(sc, seed=child_rng(sc.seed, i).seed) for i in range(sc.runs)]
+    results = [simulate(sc, seed=child_rng(sc.seed, i).seed)[1] for i in range(sc.runs)]
     print("%3.0f-%.0f%%   %12.3f %10.2f %12.0f"
           % (100 * lo, 100 * hi,
              statistics.fmean(r.energy_kwh for r in results),

@@ -10,7 +10,7 @@ from .placement import PlacementRequest, HostSnapshot, VmRequest, power_increase
 from .policies import (reallocate, select_vms_mm, select_vms_hpg, select_vms_rc,
                        underloaded_hosts)
 from .engine import (SimulationState, InfeasibleScenarioError, initial_placement,
-                     share_mips, step, simulate, run)
+                     share_mips, step, simulate)
 from .workload import SeededRng, child_rng, utilization_at
 
 __all__ = [
@@ -22,6 +22,6 @@ __all__ = [
     "reallocate", "select_vms_mm", "select_vms_hpg",
     "select_vms_rc", "underloaded_hosts",
     "SimulationState", "InfeasibleScenarioError", "initial_placement",
-    "share_mips", "step", "simulate", "run",
+    "share_mips", "step", "simulate",
     "SeededRng", "child_rng", "utilization_at",
 ]

@@ -29,8 +29,7 @@ import statistics
 import sys
 from dataclasses import dataclass, replace
 
-from . import __version__
-from .engine import InfeasibleScenarioError, run
+from .engine import InfeasibleScenarioError, simulate
 from .model import (POLICY_KINDS, STATIC_KINDS, TWO_THRESHOLD_KINDS, PolicyConfig,
                     Scenario, default_paper_scenario)
 from .workload import child_rng
@@ -84,7 +83,7 @@ class ReportRow:
 @dataclass
 class Report:
     rows: list
-    metadata: dict
+    scenario: Scenario  # supplies the seed, runs and frame_seconds cells
 
 
 _SCALAR_KEYS = {"seed": int, "runs": int, "frame_seconds": float,
@@ -94,6 +93,11 @@ _POLICY_KEYS = {"kind": str, "lower": float, "upper": float}
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse the documented config format into a validated ExperimentSpec."""
+    return _build_spec(*_read_config(text))
+
+
+def _read_config(text):
+    """Parse config text into (scalars by key, validated policy rows)."""
     scalars = {}
     policy_sections = []
     sweep_pairs = []
@@ -156,16 +160,18 @@ def parse_config(text: str) -> ExperimentSpec:
             policies += [PolicyConfig(kind, lo, hi) for lo, hi in grid]
         except ValueError as exc:
             raise ConfigError(str(exc))
-    if not policies:
-        policies = list(DEFAULT_POLICIES)
+    return scalars, policies
 
+
+def _build_spec(scalars, policies) -> ExperimentSpec:
+    """Build the one Scenario; no policy rows means the default experiment."""
     scenario = default_paper_scenario(
         frame_seconds=scalars.get("frame_seconds", 30.0),
         seed=scalars.get("seed", 42),
         runs=scalars.get("runs", 10),
         n_hosts=scalars.get("hosts", 100),
         n_vms=scalars.get("vms", 290))
-    return ExperimentSpec(scenario=scenario, policies=policies,
+    return ExperimentSpec(scenario=scenario, policies=policies or list(DEFAULT_POLICIES),
                           output_path=scalars.get("out"))
 
 
@@ -180,7 +186,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     for p in spec.policies:
         scenario = replace(base, policy=p)
         try:
-            results = [run(scenario, seed=child_rng(base.seed, i).seed)
+            results = [simulate(scenario, seed=child_rng(base.seed, i).seed)[1]
                        for i in range(base.runs)]
         except InfeasibleScenarioError as exc:
             raise InfeasibleScenarioError("%s (policy row %s)" % (exc, p.kind))
@@ -194,11 +200,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
             migrations_std=_std([float(r.migration_count) for r in results]),
             avg_sla_pct_mean=statistics.fmean(r.avg_sla_pct for r in results),
             duration_s_mean=statistics.fmean(r.sim_duration_s for r in results)))
-    metadata = {"seed": base.seed, "runs": base.runs,
-                "frame_seconds": base.frame_seconds,
-                "hosts": len(base.hosts), "vms": len(base.vms),
-                "version": __version__}
-    return Report(rows=rows, metadata=metadata)
+    return Report(rows=rows, scenario=base)
 
 
 def _fmt(value, places=6):
@@ -207,7 +209,7 @@ def _fmt(value, places=6):
     return ("%.*f" % (places, value)).rstrip("0").rstrip(".") or "0"
 
 
-def _row_cells(row: ReportRow, meta):
+def _row_cells(row: ReportRow, scenario: Scenario):
     p = row.policy
     static = p.kind in STATIC_KINDS
     return [
@@ -220,13 +222,13 @@ def _row_cells(row: ReportRow, meta):
         _fmt(row.migrations_mean), _fmt(row.migrations_std),
         "" if static else _fmt(row.avg_sla_pct_mean),
         _fmt(row.duration_s_mean),
-        str(meta["seed"]), str(meta["runs"]), _fmt(meta["frame_seconds"]),
+        str(scenario.seed), str(scenario.runs), _fmt(scenario.frame_seconds),
     ]
 
 
 def emit_report(report: Report, format="csv") -> bytes:
     """Render the report as RFC-4180 CSV or an aligned text table."""
-    table = [CSV_COLUMNS] + [_row_cells(r, report.metadata) for r in report.rows]
+    table = [CSV_COLUMNS] + [_row_cells(r, report.scenario) for r in report.rows]
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
@@ -270,29 +272,19 @@ def _spec_from_args(args) -> ExperimentSpec:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    spec = parse_config(text)
-    scenario_overrides = {}
-    for name, attr in (("seed", "seed"), ("runs", "runs"),
-                       ("frame_seconds", "frame_seconds")):
-        value = getattr(args, name)
-        if value is not None:
-            scenario_overrides[attr] = value
+    scalars, policies = _read_config(text)
     for key in ("hosts", "vms"):
         if getattr(args, key) is not None and getattr(args, key) < 1:
             raise ConfigError("--%s must be at least 1" % key)
-    if args.hosts is not None or args.vms is not None:
-        base = spec.scenario
-        spec.scenario = default_paper_scenario(
-            frame_seconds=base.frame_seconds, seed=base.seed, runs=base.runs,
-            n_hosts=args.hosts if args.hosts is not None else len(base.hosts),
-            n_vms=args.vms if args.vms is not None else len(base.vms))
-    if scenario_overrides:
-        spec.scenario = replace(spec.scenario, **scenario_overrides)
+    # each flag overrides the config scalar of the same name
+    for key in _SCALAR_KEYS:
+        if getattr(args, key) is not None:
+            scalars[key] = getattr(args, key)
     lower = None if args.lower is None else args.lower / 100.0
     upper = None if args.upper is None else args.upper / 100.0
     if args.policy:
         try:
-            spec.policies = [
+            policies = [
                 PolicyConfig(kind,
                              lower if kind in TWO_THRESHOLD_KINDS else None,
                              upper if kind not in STATIC_KINDS else None)
@@ -305,9 +297,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         raise ConfigError("--lower needs a --policy of %s" % ", ".join(TWO_THRESHOLD_KINDS))
     if upper is not None and all(k in STATIC_KINDS for k in kinds):
         raise ConfigError("--upper needs a --policy other than %s" % ", ".join(STATIC_KINDS))
-    if args.out is not None:
-        spec.output_path = args.out
-    return spec
+    return _build_spec(scalars, policies)
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,7 @@
 
 Each frame, in order: sample per-VM utilization, share host MIPS
 proportionally and record SLA measurements, charge energy for the frame,
-advance VM work (completed VMs leave the fleet), invoke the policy and
+advance VM work (finished VMs leave the fleet), invoke the policy and
 apply its migration plan, then adjust host power states.  SLA and energy
 are therefore charged against the placement in force during the frame,
 and the policy reacts to the loads it just observed.
@@ -16,7 +16,7 @@ from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, RunMetr
 from .power import accumulate, host_power
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 from . import policies
-from .workload import SeededRng, walk_utilization
+from .workload import DEFAULT_UTIL_STEP, SeededRng, walk_utilization
 
 # Policies that leave unused hosts off after the initial placement.
 # NPA keeps the whole fleet at peak power by definition.  DVFS scales
@@ -33,18 +33,16 @@ class InfeasibleScenarioError(RuntimeError):
 
 @dataclass
 class SimulationState:
-    clock_s: float
     frame_index: int
     hosts: list
-    vms: list
+    vms: list  # every VM of the fleet, finished ones included
     rng: SeededRng
+    # vm id -> VmState for every VM with work left; a VM leaves when it finishes
+    active: dict = field(default_factory=dict)
     energy_wh: float = 0.0
     frames: list = field(default_factory=list)
     # current utilization fraction per VM id, advanced by the random walk
     utilization: dict = field(default_factory=dict)
-
-    def active_vms(self):
-        return [vm for vm in self.vms if not vm.completed]
 
 
 def initial_placement(scenario: Scenario, seed=None) -> SimulationState:
@@ -79,8 +77,8 @@ def initial_placement(scenario: Scenario, seed=None) -> SimulationState:
         vms.append(VmState(spec=v, host_id=hid, demand_mips=v.requested_mips,
                            remaining_work_mi=v.total_work_mi))
     rng = SeededRng(scenario.seed if seed is None else seed)
-    return SimulationState(clock_s=0.0, frame_index=0, hosts=hosts, vms=vms,
-                           rng=rng)
+    return SimulationState(frame_index=0, hosts=hosts, vms=vms, rng=rng,
+                           active={vm.spec.id: vm for vm in vms})
 
 
 def share_mips(host: HostState, demands) -> dict:
@@ -100,13 +98,11 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     (vm_id, frame_index) -> fraction in [0, 1].
     """
     dt = scenario.frame_seconds
-    active = state.active_vms()
-    vm_by_id = {vm.spec.id: vm for vm in active}
+    active = state.active
 
     # 1. sample utilization: a reflected random walk over keyed uniform
     # draws, so the trace for (seed, vm, frame) is policy-independent
-    for vm in active:
-        vm_id = vm.spec.id
+    for vm_id, vm in active.items():
         if sampler is not None:
             u = sampler(vm_id, state.frame_index)
         else:
@@ -115,7 +111,7 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
                 u = draw
             else:
                 u = walk_utilization(state.utilization[vm_id], draw,
-                                     scenario.util_step)
+                                     DEFAULT_UTIL_STEP)
         state.utilization[vm_id] = u
         vm.demand_mips = u * vm.spec.requested_mips
 
@@ -125,7 +121,7 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     shortfall_sum = 0.0
     allocations = {}
     for host in state.hosts:
-        demands = {v: vm_by_id[v].demand_mips for v in host.resident_vms}
+        demands = {v: active[v].demand_mips for v in host.resident_vms}
         alloc = share_mips(host, demands)
         allocations.update(alloc)
         for v, a in alloc.items():
@@ -142,28 +138,27 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     state.energy_wh = total_wh
     frame_wh = total_wh - frame_wh_before
 
-    # 4. advance work; completed VMs leave their hosts for good
+    # 4. advance work; finished VMs leave their hosts for good
     by_id = {h.spec.id: h for h in state.hosts}
-    for vm in active:
-        executed = min(allocations[vm.spec.id] * dt, vm.remaining_work_mi)
+    for vm_id, vm in list(active.items()):
+        executed = min(allocations[vm_id] * dt, vm.remaining_work_mi)
         vm.remaining_work_mi -= executed
         if vm.remaining_work_mi <= 0.0:
             vm.remaining_work_mi = 0.0
-            vm.completed = True
-            by_id[vm.host_id].resident_vms.remove(vm.spec.id)
+            by_id[vm.host_id].resident_vms.remove(vm_id)
             vm.host_id = None
             vm.demand_mips = 0.0
+            del active[vm_id]
 
     # 5. policy reallocation, applied atomically
-    still_active = {vm.spec.id: vm for vm in active if not vm.completed}
-    plan = policies.reallocate(scenario.policy, state.hosts, still_active, state.rng)
+    plan = policies.reallocate(scenario.policy, state.hosts, active, state.rng)
     for v, src, dst in plan.moves:
         if src is not None:
             by_id[src].resident_vms.remove(v)
         target = by_id[dst]
         target.powered_on = True
         target.resident_vms.append(v)
-        still_active[v].host_id = dst
+        active[v].host_id = dst
 
     # 6. power management
     if scenario.policy.kind in CONSOLIDATING:
@@ -172,7 +167,6 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
                 host.powered_on = False
 
     state.frame_index += 1
-    state.clock_s = state.frame_index * dt
     metrics = FrameMetrics(frame_index=state.frame_index - 1, energy_wh=frame_wh,
                            violation_events=violations, measurements=measurements,
                            shortfall_sum=shortfall_sum, migrations=len(plan.moves))
@@ -183,7 +177,7 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
 def simulate(scenario: Scenario, seed=None, sampler=None):
     """Run to completion; returns (final state, aggregated RunMetrics)."""
     state = initial_placement(scenario, seed=seed)
-    while state.active_vms():
+    while state.active:
         step(state, scenario, sampler=sampler)
     violations = sum(f.violation_events for f in state.frames)
     measurements = sum(f.measurements for f in state.frames)
@@ -193,10 +187,5 @@ def simulate(scenario: Scenario, seed=None, sampler=None):
         sla_violation_pct=100.0 * violations / measurements if measurements else 0.0,
         migration_count=sum(f.migrations for f in state.frames),
         avg_sla_pct=100.0 * shortfall / violations if violations else 0.0,
-        sim_duration_s=state.clock_s)
+        sim_duration_s=state.frame_index * scenario.frame_seconds)
     return state, metrics
-
-
-def run(scenario: Scenario, seed=None, sampler=None) -> RunMetrics:
-    """Simulate one seeded run and return its aggregated metrics."""
-    return simulate(scenario, seed=seed, sampler=sampler)[1]

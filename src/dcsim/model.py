@@ -79,18 +79,16 @@ class VmState:
     spec: VmSpec
     host_id: Optional[int] = None
     demand_mips: float = 0.0
+    # a VM is finished exactly when no work is left
     remaining_work_mi: float = 0.0
-    completed: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.demand_mips <= self.spec.requested_mips:
             raise ValueError("demand_mips must be in [0, requested_mips]")
         if not 0.0 <= self.remaining_work_mi <= self.spec.total_work_mi:
             raise ValueError("remaining_work_mi must be in [0, total_work_mi]")
-        if self.completed != (self.remaining_work_mi == 0.0):
-            raise ValueError("completed must mirror remaining_work_mi == 0")
-        if self.completed and self.host_id is not None:
-            raise ValueError("a completed VM cannot be placed")
+        if self.remaining_work_mi == 0.0 and self.host_id is not None:
+            raise ValueError("a finished VM cannot be placed")
 
 
 @dataclass
@@ -177,6 +175,8 @@ class PolicyConfig:
         elif self.kind in STATIC_KINDS:
             if self.lower_threshold is not None or self.upper_threshold is not None:
                 raise ValueError("%s takes no thresholds" % self.kind)
+        elif self.lower_threshold is not None:
+            raise ValueError("ST takes no lower threshold")
         elif self.upper_threshold is None or not 0.0 < self.upper_threshold <= 1.0:
             raise ValueError("ST requires an upper threshold in (0, 1]")
 
@@ -189,14 +189,10 @@ class Scenario:
     frame_seconds: float = 30.0
     seed: int = 42
     runs: int = 10
-    # per-frame step of the reflected utilization random walk
-    util_step: float = 0.2
 
     def __post_init__(self):
         if not isinstance(self.policy, PolicyConfig):
             raise ValueError("policy must be a PolicyConfig")
-        if not 0.0 < self.util_step <= 1.0:
-            raise ValueError("util_step must be in (0, 1]")
         if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):
             raise ValueError("frame_seconds must be positive and finite")
         if self.runs < 1:

@@ -123,10 +123,9 @@ def _reallocate_st(config, hosts, vms):
     return MigrationPlan(moves=moves)
 
 
-def _commit(snapshots, plan, vms):
-    by_id = {s.id: s for s in snapshots}
+def _commit(snap_by_id, plan, vms):
     for v, hid in plan.assignments.items():
-        s = by_id[hid]
+        s = snap_by_id[hid]
         s.powered_on = True
         s.cpu_demand_mips += vms[v].demand_mips
         s.ram_free_mb -= vms[v].spec.ram_mb
@@ -157,20 +156,22 @@ def _reallocate_two_threshold(config, hosts, vms, rng):
     # lower threshold and cancels its evacuation.
     skip = set(over_selected)
     snapshots = [_snapshot(h, vms, skip) for h in hosts]
+    snap_by_id = {s.id: s for s in snapshots}
     if over_selected:
         plan = mbfd(PlacementRequest(vms=_request(over_selected, vms),
                                      hosts=snapshots,
                                      upper_threshold=config.upper_threshold,
                                      allow_power_on=False))
-        _commit(snapshots, plan, vms)
+        _commit(snap_by_id, plan, vms)
         moves.update(plan.assignments)
 
     # Evacuate underloaded hosts one at a time, emptiest first, so two
     # underloaded hosts can merge (the fuller one absorbs the emptier)
     # instead of blocking each other as destinations.  An evacuation is
     # all-or-nothing: a partial one would leave the host on and idle.
+    # The host being evacuated is excluded from its own placement and
+    # from every later one, so its snapshot keeps its load throughout.
     order = sorted(under, key=lambda hid: (host_utilization(by_id[hid], vms), hid))
-    snap_by_id = {s.id: s for s in snapshots}
     evacuated = set()
     for hid in order:
         snap = snap_by_id[hid]
@@ -178,24 +179,16 @@ def _reallocate_two_threshold(config, hosts, vms, rng):
         # longer underloaded it stays on and keeps its VMs
         if snap.cpu_demand_mips / snap.mips_capacity >= config.lower_threshold:
             continue
-        vm_ids = list(by_id[hid].resident_vms)
-        own = sum(vms[v].demand_mips for v in vm_ids)
-        snap.cpu_demand_mips -= own
-        snap.ram_free_mb += sum(vms[v].spec.ram_mb for v in vm_ids)
-        snap.storage_free_gb += sum(vms[v].spec.storage_gb for v in vm_ids)
         # never power a host on to absorb an evacuation: swapping the
         # load onto a fresh host saves nothing and churns migrations
-        plan = mbfd(PlacementRequest(vms=_request(vm_ids, vms), hosts=snapshots,
+        plan = mbfd(PlacementRequest(vms=_request(by_id[hid].resident_vms, vms),
+                                     hosts=snapshots,
                                      upper_threshold=config.upper_threshold,
                                      allow_power_on=False,
                                      excluded_hosts=frozenset(evacuated | {hid})))
         if plan.unplaced:
-            # cancelled: restore the host's own load
-            snap.cpu_demand_mips += own
-            snap.ram_free_mb -= sum(vms[v].spec.ram_mb for v in vm_ids)
-            snap.storage_free_gb -= sum(vms[v].spec.storage_gb for v in vm_ids)
             continue
-        _commit(snapshots, plan, vms)
+        _commit(snap_by_id, plan, vms)
         moves.update(plan.assignments)
         evacuated.add(hid)
 

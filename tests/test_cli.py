@@ -59,6 +59,7 @@ def test_config_comments_and_blank_lines():
     ("seed", "expected key = value"),
     ("[policy]\nlower = 0.3", "missing 'kind'"),
     ("[policy]\nkind = MM\nlower = 0.9\nupper = 0.1", "lower < upper"),
+    ("[policy]\nkind = ST\nlower = 0.3\nupper = 0.5", "ST takes no lower threshold"),
     ("[sweep]\nstep = 2", "unknown sweep key"),
     ("[sweep]\npairs = 0.3-0.7", "bad threshold pair"),
 ])
@@ -137,7 +138,7 @@ def test_table_format_aligns_same_cells():
 
 def test_empty_report_renders_header_only():
     from dcsim.cli import Report
-    payload = emit_report(Report(rows=[], metadata={}), format="csv")
+    payload = emit_report(Report(rows=[], scenario=None), format="csv")
     assert payload.decode("utf-8").strip().split(",") == CSV_COLUMNS
 
 

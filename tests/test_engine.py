@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from dcsim import (InfeasibleScenarioError, default_paper_scenario,
-                   initial_placement, run, share_mips, simulate, step)
+                   initial_placement, share_mips, simulate, step)
 from dcsim.model import HostSpec, PolicyConfig, Scenario, VmSpec
 from dcsim.workload import child_rng
 
@@ -125,7 +125,7 @@ def test_work_conservation_small():
     executed = sum(vm.spec.total_work_mi - vm.remaining_work_mi
                    for vm in state.vms)
     assert executed == 3 * 150000.0
-    assert all(vm.remaining_work_mi == 0.0 and vm.completed for vm in state.vms)
+    assert all(vm.remaining_work_mi == 0.0 for vm in state.vms)
 
 
 def test_completed_vms_leave_their_hosts():
@@ -145,10 +145,14 @@ def assert_consistent(state):
             assert v not in placed
             placed[v] = host.spec.id
     for vm in state.vms:
-        if vm.completed:
-            assert vm.host_id is None
-        else:
+        if vm.spec.id in state.active:
+            assert state.active[vm.spec.id] is vm
+            assert vm.remaining_work_mi > 0.0
             assert placed[vm.spec.id] == vm.host_id
+        else:
+            assert vm.remaining_work_mi == 0.0
+            assert vm.host_id is None
+    assert placed.keys() == state.active.keys()
 
 
 @pytest.mark.parametrize("policy,lo,hi", [
@@ -160,7 +164,7 @@ def test_placement_consistency_every_frame(policy, lo, hi):
                                 upper_threshold=hi, n_hosts=20, n_vms=58)
     state = initial_placement(sc)
     assert_consistent(state)
-    while state.active_vms():
+    while state.active:
         step(state, sc)
         assert_consistent(state)
 
@@ -186,23 +190,23 @@ def test_sla_accounting_on_oversubscription():
 def test_simulation_is_deterministic():
     sc = default_paper_scenario(policy="MM", lower_threshold=0.3,
                                 upper_threshold=0.7, n_hosts=30, n_vms=87)
-    a = run(sc, seed=child_rng(sc.seed, 0).seed)
-    b = run(sc, seed=child_rng(sc.seed, 0).seed)
+    a = simulate(sc, seed=child_rng(sc.seed, 0).seed)[1]
+    b = simulate(sc, seed=child_rng(sc.seed, 0).seed)[1]
     assert a == b
 
 
 def test_runs_differ_across_child_seeds():
     sc = default_paper_scenario(policy="ST", upper_threshold=0.5,
                                 n_hosts=30, n_vms=87)
-    a = run(sc, seed=child_rng(sc.seed, 0).seed)
-    b = run(sc, seed=child_rng(sc.seed, 1).seed)
+    a = simulate(sc, seed=child_rng(sc.seed, 0).seed)[1]
+    b = simulate(sc, seed=child_rng(sc.seed, 1).seed)[1]
     assert a != b
 
 
 def test_one_keyed_draw_per_active_vm_per_frame():
     sc = default_paper_scenario(policy="DVFS", n_hosts=20, n_vms=58)
     state = initial_placement(sc)
-    while state.active_vms():
+    while state.active:
         step(state, sc)
     expected = sum(f.measurements for f in state.frames)
     assert state.rng.draws == expected
@@ -212,7 +216,7 @@ def test_rc_consumes_extra_draws_only_when_selecting():
     sc = default_paper_scenario(policy="RC", lower_threshold=0.3,
                                 upper_threshold=0.7, n_hosts=20, n_vms=58)
     state = initial_placement(sc)
-    while state.active_vms():
+    while state.active:
         step(state, sc)
     assert state.rng.draws >= sum(f.measurements for f in state.frames)
 
@@ -221,7 +225,6 @@ def test_frame_clock_advances_by_frame_seconds():
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,), frame=30.0)
     state = initial_placement(sc)
     step(state, sc, sampler=pinned(1.0))
-    assert state.clock_s == 30.0
     assert state.frame_index == 1
 
 

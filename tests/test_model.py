@@ -54,16 +54,9 @@ def test_vm_state_demand_bounded_by_request():
         VmState(spec=vm_spec(), demand_mips=300.0, remaining_work_mi=1.0)
 
 
-def test_vm_state_completed_mirrors_remaining_work():
-    with pytest.raises(ValueError):
-        VmState(spec=vm_spec(), remaining_work_mi=0.0, completed=False)
-    with pytest.raises(ValueError):
-        VmState(spec=vm_spec(), remaining_work_mi=10.0, completed=True)
-
-
 def test_vm_state_completed_cannot_be_placed():
-    with pytest.raises(ValueError):
-        VmState(spec=vm_spec(), host_id=3, remaining_work_mi=0.0, completed=True)
+    with pytest.raises(ValueError, match="finished VM cannot be placed"):
+        VmState(spec=vm_spec(), host_id=3, remaining_work_mi=0.0)
 
 
 def test_placement_plan_disjointness():
@@ -120,6 +113,8 @@ def test_scenario_st_requires_upper_only():
     _mk_scenario(policy="ST", upper_threshold=0.5)
     with pytest.raises(ValueError):
         _mk_scenario(policy="ST")
+    with pytest.raises(ValueError, match="ST takes no lower threshold"):
+        _mk_scenario(policy="ST", lower_threshold=0.3, upper_threshold=0.5)
 
 
 @pytest.mark.parametrize("policy", ["NPA", "DVFS"])
@@ -147,13 +142,6 @@ def test_scenario_rejects_bad_frame_and_runs():
 def test_scenario_rejects_non_finite_frame(frame_seconds):
     with pytest.raises(ValueError, match="finite"):
         _mk_scenario(frame_seconds=frame_seconds)
-
-
-def test_scenario_rejects_bad_util_step():
-    with pytest.raises(ValueError):
-        _mk_scenario(util_step=0.0)
-    with pytest.raises(ValueError):
-        _mk_scenario(util_step=1.5)
 
 
 def test_default_fleet_shape():
