@@ -1,11 +1,11 @@
 """Frame-driven simulation loop.
 
-Each frame, in order: sample per-VM utilization, share host MIPS
-proportionally and record SLA measurements, charge energy for the frame,
-advance VM work (finished VMs leave the fleet), invoke the policy and
-apply its migration plan, then adjust host power states.  SLA and energy
-are therefore charged against the placement in force during the frame,
-and the policy reacts to the loads it just observed.
+Each frame, in order: sample per-VM utilization; host by host, share MIPS
+proportionally, record SLA measurements and charge the frame's energy;
+advance VM work (finished VMs leave the fleet); invoke the policy and apply
+its migration plan; then adjust host power states.  SLA and energy are
+therefore charged against the placement in force during the frame, and the
+policy reacts to the loads it just observed.
 """
 
 import math
@@ -29,6 +29,10 @@ CONSOLIDATING = tuple(k for k in POLICY_KINDS if k not in STATIC_KINDS)
 
 class InfeasibleScenarioError(RuntimeError):
     """The VM fleet cannot be placed at requested capacity."""
+
+
+class StalledRunError(ValueError):
+    """A frame changed no VM's remaining work (too short a frame, or zero load)."""
 
 
 @dataclass
@@ -115,11 +119,14 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
         state.utilization[vm_id] = u
         vm.demand_mips = u * vm.spec.requested_mips
 
-    # 2. proportional sharing + SLA accounting
+    # 2. per host: proportional sharing, SLA accounting and energy, from demand so an
+    # oversubscribed host is exactly at full load; NPA draws peak power everywhere, always
+    npa = scenario.policy.kind == "NPA"
     measurements = len(active)
     violations = 0
     shortfall_sum = 0.0
     allocations = {}
+    frame_wh_before = total_wh = state.energy_wh
     for host in state.hosts:
         demands = {v: active[v].demand_mips for v in host.resident_vms}
         alloc = share_mips(host, demands)
@@ -128,17 +135,12 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
             if a < demands[v]:
                 violations += 1
                 shortfall_sum += (demands[v] - a) / demands[v]
-
-    # 3. energy for the frame; NPA draws peak power everywhere, always
-    npa = scenario.policy.kind == "NPA"
-    frame_wh_before = total_wh = state.energy_wh
-    for host in state.hosts:
-        p = host.spec.p_max_watts if npa else host_power(host, allocations)
+        p = host.spec.p_max_watts if npa else host_power(host, demands)
         total_wh = accumulate(total_wh, p, dt)
     state.energy_wh = total_wh
     frame_wh = total_wh - frame_wh_before
 
-    # 4. advance work; finished VMs leave their hosts for good
+    # 3. advance work; finished VMs leave their hosts for good
     by_id = {h.spec.id: h for h in state.hosts}
     for vm_id, vm in list(active.items()):
         executed = min(allocations[vm_id] * dt, vm.remaining_work_mi)
@@ -150,7 +152,7 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
             vm.demand_mips = 0.0
             del active[vm_id]
 
-    # 5. policy reallocation, applied atomically
+    # 4. policy reallocation, applied atomically
     plan = policies.reallocate(scenario.policy, state.hosts, active, state.rng)
     for v, src, dst in plan.moves:
         if src is not None:
@@ -160,7 +162,7 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
         target.resident_vms.append(v)
         active[v].host_id = dst
 
-    # 6. power management
+    # 5. power management
     if scenario.policy.kind in CONSOLIDATING:
         for host in state.hosts:
             if host.powered_on and not host.resident_vms:
@@ -178,7 +180,12 @@ def simulate(scenario: Scenario, seed=None, sampler=None):
     """Run to completion; returns (final state, aggregated RunMetrics)."""
     state = initial_placement(scenario, seed=seed)
     while state.active:
+        work = [vm.remaining_work_mi for vm in state.active.values()]
         step(state, scenario, sampler=sampler)
+        if len(state.active) == len(work) and all(
+                vm.remaining_work_mi == w for vm, w in zip(state.active.values(), work)):
+            raise StalledRunError("frame %d advanced no VM's remaining work; the run "
+                                  "cannot end" % (state.frame_index - 1))
     violations = sum(f.violation_events for f in state.frames)
     measurements = sum(f.measurements for f in state.frames)
     shortfall = math.fsum(f.shortfall_sum for f in state.frames)

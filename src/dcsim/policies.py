@@ -16,16 +16,14 @@ from .model import STATIC_KINDS, HostState, MigrationPlan, PolicyConfig
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 
 
-def host_utilization(host: HostState, vms) -> float:
-    total = sum(vms[vm_id].demand_mips for vm_id in host.resident_vms)
-    return total / host.spec.mips_capacity
+def underloaded_hosts(hosts, view, lower_threshold: float) -> list:
+    """Ids of powered-on, non-empty hosts strictly below the lower threshold, emptiest first.
 
-
-def underloaded_hosts(hosts, vms, lower_threshold: float) -> list:
-    """Powered-on, non-empty hosts strictly below the lower threshold."""
-    return [h.spec.id for h in hosts
-            if h.powered_on and h.resident_vms
-            and host_utilization(h, vms) < lower_threshold]
+    A host's load is the CPU demand of its snapshot in ``view`` (host id -> HostSnapshot).
+    """
+    loads = sorted((view[h.spec.id].cpu_demand_mips / h.spec.mips_capacity, h.spec.id)
+                   for h in hosts if h.powered_on and h.resident_vms)
+    return [hid for u, hid in loads if u < lower_threshold]
 
 
 def select_vms_mm(host: HostState, vms, upper_threshold: float) -> list:
@@ -81,8 +79,7 @@ def select_vms_rc(host: HostState, vms, upper_threshold: float, rng) -> list:
     return picked
 
 
-def _snapshot(host: HostState, vms, skip) -> HostSnapshot:
-    resident = [v for v in host.resident_vms if v not in skip]
+def _snapshot(host: HostState, resident, vms) -> HostSnapshot:
     return HostSnapshot.from_state(
         host,
         cpu_demand_mips=sum(vms[v].demand_mips for v in resident),
@@ -123,9 +120,10 @@ def _reallocate_st(config, hosts, vms):
     return MigrationPlan(moves=moves)
 
 
-def _commit(snap_by_id, plan, vms):
+def _commit(view, plan, vms, moves):
+    moves.update(plan.assignments)
     for v, hid in plan.assignments.items():
-        s = snap_by_id[hid]
+        s = view[hid]
         s.powered_on = True
         s.cpu_demand_mips += vms[v].demand_mips
         s.ram_free_mb -= vms[v].spec.ram_mb
@@ -133,19 +131,30 @@ def _commit(snap_by_id, plan, vms):
 
 
 def _reallocate_two_threshold(config, hosts, vms, rng):
-    selector = {"MM": select_vms_mm, "HPG": select_vms_hpg}.get(config.kind)
-    over_selected = []
-    for h in sorted(hosts, key=lambda h: h.spec.id):
-        if not h.powered_on or not h.resident_vms:
-            continue
-        if host_utilization(h, vms) > config.upper_threshold:
-            if selector is not None:
-                over_selected.extend(selector(h, vms, config.upper_threshold))
-            else:
-                over_selected.extend(select_vms_rc(h, vms, config.upper_threshold, rng))
-    under = underloaded_hosts(hosts, vms, config.lower_threshold)
+    # The pass's load view: each host's residents summed once, in resident
+    # order.  Every decision below reads it, and each committed placement
+    # updates it in place.
+    view = {h.spec.id: _snapshot(h, h.resident_vms, vms) for h in hosts}
     by_id = {h.spec.id: h for h in hosts}
+    under = underloaded_hosts(hosts, view, config.lower_threshold)
+    select = {"MM": select_vms_mm, "HPG": select_vms_hpg,
+              "RC": lambda h, vms, upper: select_vms_rc(h, vms, upper, rng)}[config.kind]
+    over_selected = []
+    # an off or empty host carries no load, so it is never over the threshold
+    for hid in sorted(by_id):
+        h, s = by_id[hid], view[hid]
+        if s.cpu_demand_mips / s.mips_capacity > config.upper_threshold:
+            picked = select(h, vms, config.upper_threshold)
+            # the host as relief sees it: its picks are leaving
+            view[hid] = _snapshot(h, [v for v in h.resident_vms if v not in picked], vms)
+            over_selected += picked
+    snapshots = list(view.values())
     moves = {}
+
+    def place(vm_ids, excluded=frozenset()):
+        return mbfd(PlacementRequest(vms=_request(vm_ids, vms), hosts=snapshots,
+                                     upper_threshold=config.upper_threshold,
+                                     allow_power_on=False, excluded_hosts=excluded))
 
     # Over-threshold relief first: one MBFD pass over all selected VMs.
     # Relief never powers hosts on: activating a host costs its full
@@ -154,16 +163,8 @@ def _reallocate_two_threshold(config, hosts, vms, rng):
     # below the lower threshold and bounce back.  Underloaded hosts stay
     # eligible as targets; spill landing on one lifts it toward the
     # lower threshold and cancels its evacuation.
-    skip = set(over_selected)
-    snapshots = [_snapshot(h, vms, skip) for h in hosts]
-    snap_by_id = {s.id: s for s in snapshots}
     if over_selected:
-        plan = mbfd(PlacementRequest(vms=_request(over_selected, vms),
-                                     hosts=snapshots,
-                                     upper_threshold=config.upper_threshold,
-                                     allow_power_on=False))
-        _commit(snap_by_id, plan, vms)
-        moves.update(plan.assignments)
+        _commit(view, place(over_selected), vms, moves)
 
     # Evacuate underloaded hosts one at a time, emptiest first, so two
     # underloaded hosts can merge (the fuller one absorbs the emptier)
@@ -171,25 +172,19 @@ def _reallocate_two_threshold(config, hosts, vms, rng):
     # all-or-nothing: a partial one would leave the host on and idle.
     # The host being evacuated is excluded from its own placement and
     # from every later one, so its snapshot keeps its load throughout.
-    order = sorted(under, key=lambda hid: (host_utilization(by_id[hid], vms), hid))
     evacuated = set()
-    for hid in order:
-        snap = snap_by_id[hid]
-        # an earlier evacuation may have landed here; if the host is no
+    for hid in under:
+        snap = view[hid]
+        # an earlier placement may have landed here; if the host is no
         # longer underloaded it stays on and keeps its VMs
         if snap.cpu_demand_mips / snap.mips_capacity >= config.lower_threshold:
             continue
         # never power a host on to absorb an evacuation: swapping the
         # load onto a fresh host saves nothing and churns migrations
-        plan = mbfd(PlacementRequest(vms=_request(by_id[hid].resident_vms, vms),
-                                     hosts=snapshots,
-                                     upper_threshold=config.upper_threshold,
-                                     allow_power_on=False,
-                                     excluded_hosts=frozenset(evacuated | {hid})))
+        plan = place(by_id[hid].resident_vms, frozenset(evacuated | {hid}))
         if plan.unplaced:
             continue
-        _commit(snap_by_id, plan, vms)
-        moves.update(plan.assignments)
+        _commit(view, plan, vms, moves)
         evacuated.add(hid)
 
     plan_moves = [(v, vms[v].host_id, dst) for v, dst in sorted(moves.items())

@@ -37,16 +37,14 @@ def _to_unit(word: int) -> float:
 
 
 class SeededRng:
-    """Deterministic 64-bit generator with draw-count bookkeeping."""
+    """Deterministic 64-bit generator."""
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self._counter = 0
-        self.draws = 0
 
     def next_u64(self) -> int:
         self._counter += 1
-        self.draws += 1
         return _mix64((self.seed + self._counter * _GOLDEN) & _MASK64)
 
     def next_u01(self) -> float:
@@ -58,8 +56,7 @@ class SeededRng:
         return int(self.next_u01() * n)
 
     def keyed_u01(self, *keys: int) -> float:
-        """Uniform draw determined purely by (seed, keys); counted, not streamed."""
-        self.draws += 1
+        """Uniform draw determined purely by (seed, keys); not streamed."""
         return _to_unit(_mix_key(self.seed, *keys))
 
 

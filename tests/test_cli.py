@@ -268,18 +268,30 @@ def test_empty_fleet_in_config_file_exits_1(tmp_path, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_non_finite_frame_seconds_exits_1(value):
-    # in a child process with a timeout: a NaN frame once made the
-    # simulation loop run forever
+def run_child(*args):
+    """Run the command line in a child process, so a hang fails by timeout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dcsim.cli", "--policy", "MM", "--lower", "30",
-         "--upper", "70", "--runs", "2", "--hosts", "12", "--vms", "24",
-         "--frame-seconds", value],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "dcsim.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_frame_seconds_exits_1(value):
+    # a NaN frame once made the simulation loop run forever
+    proc = run_child("--policy", "MM", "--lower", "30", "--upper", "70", "--runs", "2",
+                     "--hosts", "12", "--vms", "24", "--frame-seconds", value)
     assert proc.returncode == 1
     assert "frame_seconds must be positive and finite" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_frame_too_short_to_advance_work_exits_1():
+    # each 1e-300 s frame executes about 1e-297 MI, which the remaining
+    # 150000 MI absorb in float: the run once never ended
+    proc = run_child("--policy", "NPA", "--frame-seconds", "1e-300", "--runs", "1",
+                     "--hosts", "1", "--vms", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: frame 0 advanced no VM's remaining work; the run cannot end"]

@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from dcsim import (InfeasibleScenarioError, default_paper_scenario,
-                   initial_placement, share_mips, simulate, step)
-from dcsim.model import HostSpec, PolicyConfig, Scenario, VmSpec
-from dcsim.workload import child_rng
+from dcsim import (InfeasibleScenarioError, SimulationState, StalledRunError,
+                   default_paper_scenario, initial_placement, power, share_mips, simulate,
+                   step)
+from dcsim.model import HostSpec, HostState, PolicyConfig, Scenario, VmSpec, VmState
+from dcsim.workload import SeededRng, child_rng
 
 
 def small_scenario(policy="DVFS", n_hosts=2, vm_mips=(250.0,), frame=60.0,
@@ -187,6 +188,29 @@ def test_sla_accounting_on_oversubscription():
     assert metrics.shortfall_sum == pytest.approx(2 * 100.0 / 600.0)
 
 
+def test_oversubscribed_host_draws_exactly_peak_power():
+    # 250.1 + 1999.3 + 1000.0 MIPS on a 1000-MIPS host: the scaled shares
+    # re-sum to just under 1000, which once drew 247.29999999999998 W
+    spec = HostSpec(id=0, mips_capacity=1000.0, ram_mb=8192.0, storage_gb=1024.0,
+                    p_max_watts=247.3, idle_fraction=0.61)
+    vm_specs = [VmSpec(id=i, requested_mips=m, ram_mb=128.0, storage_gb=1.0,
+                       total_work_mi=150000.0) for i, m in enumerate((250.1, 1999.3, 1000.0))]
+    vms = [VmState(spec=v, host_id=0, remaining_work_mi=v.total_work_mi) for v in vm_specs]
+    sc = Scenario(hosts=(spec,), vms=tuple(vm_specs), policy=PolicyConfig("DVFS"),
+                  frame_seconds=60.0)
+    state = SimulationState(frame_index=0, hosts=[HostState(spec=spec, resident_vms=[0, 1, 2])],
+                            vms=vms, rng=SeededRng(1), active={v.spec.id: v for v in vms})
+    metrics = step(state, sc, sampler=pinned(1.0))
+    assert metrics.violation_events == 3
+    assert metrics.energy_wh == power(spec, 1.0) * 60.0 / 3600.0
+
+
+def test_frame_that_advances_no_work_stops_the_run():
+    sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
+    with pytest.raises(StalledRunError, match="frame 0 advanced no VM's remaining work"):
+        simulate(sc, sampler=pinned(0.0))
+
+
 def test_simulation_is_deterministic():
     sc = default_paper_scenario(policy="MM", lower_threshold=0.3,
                                 upper_threshold=0.7, n_hosts=30, n_vms=87)
@@ -203,22 +227,39 @@ def test_runs_differ_across_child_seeds():
     assert a != b
 
 
-def test_one_keyed_draw_per_active_vm_per_frame():
-    sc = default_paper_scenario(policy="DVFS", n_hosts=20, n_vms=58)
+class CountingRng(SeededRng):
+    """A SeededRng that counts its keyed and its sequential draws."""
+
+    keyed = sequential = 0
+
+    def next_u64(self):
+        self.sequential += 1
+        return super().next_u64()
+
+    def keyed_u01(self, *keys):
+        self.keyed += 1
+        return super().keyed_u01(*keys)
+
+
+def run_counting_draws(sc):
     state = initial_placement(sc)
+    state.rng = CountingRng(state.rng.seed)  # the same, still unused, stream
     while state.active:
         step(state, sc)
-    expected = sum(f.measurements for f in state.frames)
-    assert state.rng.draws == expected
+    return state
+
+
+def test_one_keyed_draw_per_active_vm_per_frame():
+    state = run_counting_draws(default_paper_scenario(policy="DVFS", n_hosts=20, n_vms=58))
+    assert state.rng.keyed == sum(f.measurements for f in state.frames)
+    assert state.rng.sequential == 0
 
 
 def test_rc_consumes_extra_draws_only_when_selecting():
-    sc = default_paper_scenario(policy="RC", lower_threshold=0.3,
-                                upper_threshold=0.7, n_hosts=20, n_vms=58)
-    state = initial_placement(sc)
-    while state.active:
-        step(state, sc)
-    assert state.rng.draws >= sum(f.measurements for f in state.frames)
+    state = run_counting_draws(default_paper_scenario(
+        policy="RC", lower_threshold=0.3, upper_threshold=0.7, n_hosts=20, n_vms=58))
+    assert state.rng.keyed == sum(f.measurements for f in state.frames)
+    assert state.rng.sequential > 0
 
 
 def test_frame_clock_advances_by_frame_seconds():

@@ -5,8 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcsim.model import HostSpec, HostState, VmSpec, VmState
-from dcsim.policies import (PolicyConfig, host_utilization, reallocate,
+from dcsim.model import HostSpec, HostState, MigrationPlan, VmSpec, VmState
+from dcsim.placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
+from dcsim.policies import (PolicyConfig, _snapshot, reallocate,
                             select_vms_hpg, select_vms_mm, select_vms_rc,
                             underloaded_hosts)
 from dcsim.workload import SeededRng
@@ -43,19 +44,19 @@ def test_policy_config_validation():
         PolicyConfig("LRU", 0.3, 0.7)
 
 
-def test_host_utilization():
-    vms = make_vms([200.0, 300.0])
-    host = make_host(cap=1000.0, residents=[0, 1])
-    assert host_utilization(host, vms) == pytest.approx(0.5)
-
-
 def test_underloaded_hosts_strictly_below_threshold():
-    vms = make_vms([300.0, 100.0])
-    at = make_host(id=0, cap=1000.0, residents=[0])     # exactly 0.3
-    below = make_host(id=1, cap=1000.0, residents=[1])  # 0.1
+    vms = make_vms([300.0, 100.0, 200.0, 300.0])
+    at = make_host(id=0, cap=1000.0, residents=[0])       # exactly 0.3
+    below = make_host(id=1, cap=1000.0, residents=[1])    # 0.1
     off = make_host(id=2, on=False)
     empty = make_host(id=3)
-    assert underloaded_hosts([at, below, off, empty], vms, 0.3) == [1]
+    pair = make_host(id=4, cap=1000.0, residents=[2, 3])  # 200 + 300 of 1000: 0.5
+    hosts = [pair, at, below, off, empty]
+    view = {h.spec.id: _snapshot(h, h.resident_vms, vms) for h in hosts}
+    assert underloaded_hosts(hosts, view, 0.3) == [1]
+    # emptiest first; the pair sums to 0.5
+    assert underloaded_hosts(hosts, view, 0.5) == [1, 0]
+    assert underloaded_hosts(hosts, view, 0.6) == [1, 0, 4]
 
 
 def relieved(host, vms, picked, upper):
@@ -216,6 +217,19 @@ def test_evacuation_is_all_or_nothing():
     assert moved in (set(), {0, 1})
 
 
+def test_relieved_host_is_not_evacuated():
+    # host 0 is over 0.9 by its one VM; once MM picks it the host would read
+    # empty, but the underloaded set is taken before relief, so the VM moves
+    # once, to the lowest-id of the two equal targets
+    vms = make_vms([950.0, 1000.0, 1000.0])
+    hosts = [make_host(id=0, cap=1000.0, residents=[0]),
+             make_host(id=1, cap=3000.0, residents=[1]),
+             make_host(id=2, cap=3000.0, residents=[2])]
+    vms[1].host_id, vms[2].host_id = 1, 2
+    plan = reallocate(PolicyConfig("MM", 0.3, 0.9), hosts, vms, SeededRng(1))
+    assert plan.moves == [(0, 0, 1)]
+
+
 def test_underloaded_hosts_can_merge():
     # both hosts are under 0.5; the emptier one moves into the fuller one
     vms = make_vms([100.0, 300.0])
@@ -229,8 +243,6 @@ def test_underloaded_hosts_can_merge():
 def test_st_plan_applies_to_the_fresh_packing():
     # diff/apply round-trip: applying the plan reproduces the placement
     # a from-scratch packing of the same snapshot would give
-    from dcsim.placement import (HostSnapshot, PlacementRequest, VmRequest,
-                                 mbfd)
     vms = make_vms([400.0, 250.0, 600.0, 150.0])
     hosts = [make_host(id=0, cap=1000.0, residents=[0, 1]),
              make_host(id=1, cap=2000.0, residents=[2, 3])]
@@ -261,3 +273,115 @@ def test_st_repacks_onto_fewest_hosts():
                       SeededRng(1))
     destinations = {dst for _, _, dst in plan.moves}
     assert len(destinations) == 1
+
+
+# The two-threshold pass as it was before it kept one load view: every
+# decision re-sums the host's residents.  ``reallocate`` must give the
+# same plan, bit for bit.
+def reference_two_threshold(config, hosts, vms, rng):
+    def utilization(h):
+        return sum(vms[v].demand_mips for v in h.resident_vms) / h.spec.mips_capacity
+
+    def snapshot(h, skip):
+        resident = [v for v in h.resident_vms if v not in skip]
+        return HostSnapshot.from_state(
+            h, cpu_demand_mips=sum(vms[v].demand_mips for v in resident),
+            ram_used_mb=sum(vms[v].spec.ram_mb for v in resident),
+            storage_used_gb=sum(vms[v].spec.storage_gb for v in resident))
+
+    def request(vm_ids):
+        return [VmRequest(id=v, demand_mips=vms[v].demand_mips, ram_mb=vms[v].spec.ram_mb,
+                          storage_gb=vms[v].spec.storage_gb) for v in vm_ids]
+
+    def commit(plan):
+        for v, hid in plan.assignments.items():
+            s = snap_by_id[hid]
+            s.powered_on = True
+            s.cpu_demand_mips += vms[v].demand_mips
+            s.ram_free_mb -= vms[v].spec.ram_mb
+            s.storage_free_gb -= vms[v].spec.storage_gb
+
+    upper, lower = config.upper_threshold, config.lower_threshold
+    over_selected = []
+    for h in sorted(hosts, key=lambda h: h.spec.id):
+        if h.powered_on and h.resident_vms and utilization(h) > upper:
+            if config.kind == "MM":
+                over_selected.extend(select_vms_mm(h, vms, upper))
+            elif config.kind == "HPG":
+                over_selected.extend(select_vms_hpg(h, vms, upper))
+            else:
+                over_selected.extend(select_vms_rc(h, vms, upper, rng))
+    under = [h.spec.id for h in hosts
+             if h.powered_on and h.resident_vms and utilization(h) < lower]
+    by_id = {h.spec.id: h for h in hosts}
+    moves = {}
+    skip = set(over_selected)
+    snapshots = [snapshot(h, skip) for h in hosts]
+    snap_by_id = {s.id: s for s in snapshots}
+    if over_selected:
+        plan = mbfd(PlacementRequest(vms=request(over_selected), hosts=snapshots,
+                                     upper_threshold=upper, allow_power_on=False))
+        commit(plan)
+        moves.update(plan.assignments)
+    evacuated = set()
+    for hid in sorted(under, key=lambda hid: (utilization(by_id[hid]), hid)):
+        snap = snap_by_id[hid]
+        if snap.cpu_demand_mips / snap.mips_capacity >= lower:
+            continue
+        plan = mbfd(PlacementRequest(vms=request(by_id[hid].resident_vms), hosts=snapshots,
+                                     upper_threshold=upper, allow_power_on=False,
+                                     excluded_hosts=frozenset(evacuated | {hid})))
+        if plan.unplaced:
+            continue
+        commit(plan)
+        moves.update(plan.assignments)
+        evacuated.add(hid)
+    return MigrationPlan(moves=[(v, vms[v].host_id, dst) for v, dst in sorted(moves.items())
+                                if dst != vms[v].host_id])
+
+
+THRESHOLD_PAIRS = [(0.3, 0.7), (0.4, 0.8), (0.5, 0.9), (0.17, 0.63)]
+
+
+@st.composite
+def two_threshold_fleets(draw):
+    """A mixed fleet with fractional loads, some hosts pinned near a threshold."""
+    lower, upper = draw(st.sampled_from(THRESHOLD_PAIRS))
+    hosts, vms = [], {}
+    for hid in range(draw(st.integers(1, 8))):
+        cap = draw(st.sampled_from([997.3, 1000.0, 2113.7, 3000.0]))
+        spec = HostSpec(id=hid, mips_capacity=cap, storage_gb=1024.0,
+                        ram_mb=draw(st.sampled_from([4096.0, 6143.5, 8192.0])),
+                        p_max_watts=draw(st.floats(90.0, 400.0)),
+                        idle_fraction=draw(st.floats(0.3, 0.85)))
+        on = hid == 0 or draw(st.integers(0, 3)) > 0
+        n = draw(st.integers(0, 5)) if on else 0
+        # up to 0.9 of capacity, so a host can drop below the lower threshold
+        # once relief's picks leave it
+        demands = [draw(st.floats(0.0, 0.9 * spec.mips_capacity)) for _ in range(n)]
+        if demands and draw(st.booleans()):
+            # land the host's sum on a threshold, or an ulp-scale step off it
+            target = draw(st.sampled_from([lower, upper])) * spec.mips_capacity
+            target += draw(st.sampled_from([-1e-9, 0.0, 1e-9, -1.0, 1.0]))
+            demands[-1] = max(0.0, target - sum(demands[:-1]))
+        residents = []
+        for d in demands:
+            vid = len(vms)
+            requested = draw(st.sampled_from([250.0, 500.0, 750.0, 1000.0, 1999.3]))
+            vm_spec = VmSpec(id=vid, requested_mips=max(requested, d), ram_mb=draw(
+                st.sampled_from([256.0, 512.0, 1024.0, 1536.0])), storage_gb=2.5,
+                total_work_mi=150000.0)
+            vms[vid] = VmState(spec=vm_spec, host_id=hid, demand_mips=d,
+                               remaining_work_mi=1000.0)
+            residents.append(vid)
+        hosts.append(HostState(spec=spec, powered_on=on, resident_vms=residents))
+    return lower, upper, hosts, vms
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_threshold_fleets(), st.sampled_from(["MM", "HPG", "RC"]), st.integers(0, 2**32))
+def test_two_threshold_matches_the_resumming_reference(fleet, kind, seed):
+    lower, upper, hosts, vms = fleet
+    config = PolicyConfig(kind, lower, upper)
+    expected = reference_two_threshold(config, hosts, vms, SeededRng(seed))
+    assert reallocate(config, hosts, vms, SeededRng(seed)) == expected

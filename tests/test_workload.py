@@ -65,14 +65,6 @@ def test_keyed_draw_matches_pure_function():
     assert rng.keyed_u01(4, 9) == utilization_at(31, 4, 9)
 
 
-def test_draw_bookkeeping_counts_both_kinds():
-    rng = SeededRng(1)
-    rng.next_u01()
-    rng.keyed_u01(0, 0)
-    rng.randbelow(3)
-    assert rng.draws == 3
-
-
 def test_child_rng_independent_streams():
     children = [child_rng(42, i) for i in range(10)]
     seeds = {c.seed for c in children}
