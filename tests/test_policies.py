@@ -44,6 +44,16 @@ def test_policy_config_validation():
         PolicyConfig("LRU", 0.3, 0.7)
 
 
+def test_host_utilization():
+    # the load view sums a host's residents once: 200 + 300 of 1000 is 0.5
+    vms = make_vms([200.0, 300.0])
+    host = make_host(cap=1000.0, residents=[0, 1])
+    snap = _snapshot(host, host.resident_vms, vms)
+    assert snap.cpu_demand_mips / snap.mips_capacity == pytest.approx(0.5)
+    assert snap.ram_free_mb == pytest.approx(8192.0 - 2 * 128.0)
+    assert snap.storage_free_gb == pytest.approx(1024.0 - 2 * 1.0)
+
+
 def test_underloaded_hosts_strictly_below_threshold():
     vms = make_vms([300.0, 100.0, 200.0, 300.0])
     at = make_host(id=0, cap=1000.0, residents=[0])       # exactly 0.3
