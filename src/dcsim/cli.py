@@ -44,12 +44,18 @@ DEFAULT_POLICIES = (
     PolicyConfig("MM", 0.5, 0.9),
 )
 
-CSV_COLUMNS = ["policy", "lower_pct", "upper_pct",
-               "energy_kwh_mean", "energy_kwh_std",
-               "sla_pct_mean", "sla_pct_std",
-               "migrations_mean", "migrations_std",
-               "avg_sla_pct_mean", "duration_s_mean",
-               "seed", "runs", "frame_seconds"]
+# The report's statistics over a row's runs, in column order: (CSV column
+# stem, RunMetrics field, has a std column, blank for static policies).
+REPORT_STATS = (("energy_kwh", "energy_kwh", True, False),
+                ("sla_pct", "sla_violation_pct", True, True),
+                ("migrations", "migration_count", True, False),
+                ("avg_sla_pct", "avg_sla_pct", False, True),
+                ("duration_s", "sim_duration_s", False, False))
+
+CSV_COLUMNS = (["policy", "lower_pct", "upper_pct"]
+               + [stem + suffix for stem, _, has_std, _ in REPORT_STATS
+                  for suffix in (("_mean", "_std") if has_std else ("_mean",))]
+               + ["seed", "runs", "frame_seconds"])
 
 
 class ConfigError(ValueError):
@@ -70,14 +76,7 @@ class ExperimentSpec:
 @dataclass
 class ReportRow:
     policy: PolicyConfig
-    energy_kwh_mean: float
-    energy_kwh_std: float
-    sla_pct_mean: float
-    sla_pct_std: float
-    migrations_mean: float
-    migrations_std: float
-    avg_sla_pct_mean: float
-    duration_s_mean: float
+    runs: list  # the row's RunMetrics, in run order
 
 
 @dataclass
@@ -86,8 +85,14 @@ class Report:
     scenario: Scenario  # supplies the seed, runs and frame_seconds cells
 
 
-_SCALAR_KEYS = {"seed": int, "runs": int, "frame_seconds": float,
-                "hosts": int, "vms": int, "out": str}
+# Top-level config keys, each also a flag of the same name that overrides it:
+# key -> (type, flag help).
+_SCALAR_KEYS = {"seed": (int, "master RNG seed"),
+                "runs": (int, "repetitions per row"),
+                "frame_seconds": (float, "frame length in seconds"),
+                "hosts": (int, "number of hosts in the fleet"),
+                "vms": (int, "number of VMs in the fleet"),
+                "out": (str, "output path (default: stdout)")}
 _POLICY_KEYS = {"kind": str, "lower": float, "upper": float}
 
 
@@ -124,11 +129,9 @@ def _read_config(text):
             if key not in _SCALAR_KEYS:
                 raise ConfigError("line %d: unknown key %r" % (lineno, key))
             try:
-                scalars[key] = _SCALAR_KEYS[key](value)
+                scalars[key] = _SCALAR_KEYS[key][0](value)
             except ValueError:
                 raise ConfigError("line %d: bad value for %r" % (lineno, key))
-            if key in ("hosts", "vms") and scalars[key] < 1:
-                raise ConfigError("line %d: %r must be at least 1" % (lineno, key))
         elif section == "sweep":
             if key != "pairs":
                 raise ConfigError("line %d: unknown sweep key %r" % (lineno, key))
@@ -175,10 +178,6 @@ def _build_spec(scalars, policies) -> ExperimentSpec:
                           output_path=scalars.get("out"))
 
 
-def _std(values):
-    return statistics.stdev(values) if len(values) > 1 else 0.0
-
-
 def run_experiment(spec: ExperimentSpec) -> Report:
     """Execute every (policy, thresholds) row over `runs` child-seeded runs."""
     base = spec.scenario
@@ -190,16 +189,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
                        for i in range(base.runs)]
         except InfeasibleScenarioError as exc:
             raise InfeasibleScenarioError("%s (policy row %s)" % (exc, p.kind))
-        rows.append(ReportRow(
-            policy=p,
-            energy_kwh_mean=statistics.fmean(r.energy_kwh for r in results),
-            energy_kwh_std=_std([r.energy_kwh for r in results]),
-            sla_pct_mean=statistics.fmean(r.sla_violation_pct for r in results),
-            sla_pct_std=_std([r.sla_violation_pct for r in results]),
-            migrations_mean=statistics.fmean(r.migration_count for r in results),
-            migrations_std=_std([float(r.migration_count) for r in results]),
-            avg_sla_pct_mean=statistics.fmean(r.avg_sla_pct for r in results),
-            duration_s_mean=statistics.fmean(r.sim_duration_s for r in results)))
+        rows.append(ReportRow(policy=p, runs=results))
     return Report(rows=rows, scenario=base)
 
 
@@ -211,19 +201,16 @@ def _fmt(value, places=6):
 
 def _row_cells(row: ReportRow, scenario: Scenario):
     p = row.policy
-    static = p.kind in STATIC_KINDS
-    return [
-        p.kind,
-        _fmt(None if p.lower_threshold is None else 100.0 * p.lower_threshold, 1),
-        _fmt(None if p.upper_threshold is None else 100.0 * p.upper_threshold, 1),
-        _fmt(row.energy_kwh_mean), _fmt(row.energy_kwh_std),
-        "" if static else _fmt(row.sla_pct_mean),
-        "" if static else _fmt(row.sla_pct_std),
-        _fmt(row.migrations_mean), _fmt(row.migrations_std),
-        "" if static else _fmt(row.avg_sla_pct_mean),
-        _fmt(row.duration_s_mean),
-        str(scenario.seed), str(scenario.runs), _fmt(scenario.frame_seconds),
-    ]
+    cells = [p.kind,
+             _fmt(None if p.lower_threshold is None else 100.0 * p.lower_threshold, 1),
+             _fmt(None if p.upper_threshold is None else 100.0 * p.upper_threshold, 1)]
+    for _, field, has_std, static_blank in REPORT_STATS:
+        values = [float(getattr(r, field)) for r in row.runs]
+        stats = [statistics.fmean(values)]
+        if has_std:
+            stats.append(statistics.stdev(values) if len(values) > 1 else 0.0)
+        cells += ["" if static_blank and p.kind in STATIC_KINDS else _fmt(v) for v in stats]
+    return cells + [str(scenario.seed), str(scenario.runs), _fmt(scenario.frame_seconds)]
 
 
 def emit_report(report: Report, format="csv") -> bytes:
@@ -257,13 +244,9 @@ def build_parser():
                         help="policy to run (repeatable): " + ", ".join(POLICY_KINDS))
     parser.add_argument("--lower", type=float, help="lower threshold, percent")
     parser.add_argument("--upper", type=float, help="upper threshold, percent")
-    parser.add_argument("--seed", type=int, help="master RNG seed")
-    parser.add_argument("--runs", type=int, help="repetitions per row")
-    parser.add_argument("--frame-seconds", type=float, help="frame length in seconds")
-    parser.add_argument("--hosts", type=int, help="number of hosts in the fleet")
-    parser.add_argument("--vms", type=int, help="number of VMs in the fleet")
     parser.add_argument("--format", choices=["csv", "table"], default="csv")
-    parser.add_argument("--out", help="output path (default: stdout)")
+    for key, (kind, help_text) in _SCALAR_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
     return parser
 
 
@@ -273,9 +256,6 @@ def _spec_from_args(args) -> ExperimentSpec:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     scalars, policies = _read_config(text)
-    for key in ("hosts", "vms"):
-        if getattr(args, key) is not None and getattr(args, key) < 1:
-            raise ConfigError("--%s must be at least 1" % key)
     # each flag overrides the config scalar of the same name
     for key in _SCALAR_KEYS:
         if getattr(args, key) is not None:
@@ -304,19 +284,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
-        report = run_experiment(spec)
-    except (ConfigError, ValueError) as exc:
+        payload = emit_report(run_experiment(spec), format=args.format)
+        if spec.output_path:
+            with open(spec.output_path, "wb") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.buffer.write(payload)
+    except (ValueError, OSError) as exc:  # a ConfigError, or an unreadable or unwritable file
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except InfeasibleScenarioError as exc:
         print("infeasible scenario: %s" % exc, file=sys.stderr)
         return 2
-    payload = emit_report(report, format=args.format)
-    if spec.output_path:
-        with open(spec.output_path, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
     return 0
 
 

@@ -38,7 +38,7 @@ class StalledRunError(ValueError):
 @dataclass
 class SimulationState:
     frame_index: int
-    hosts: list
+    hosts: list  # hosts[i] has id i, as in the Scenario
     vms: list  # every VM of the fleet, finished ones included
     rng: SeededRng
     # vm id -> VmState for every VM with work left; a VM leaves when it finishes
@@ -73,11 +73,10 @@ def initial_placement(scenario: Scenario, seed=None) -> SimulationState:
     for h in scenario.hosts:
         on = (h.id in used) if power_managed else True
         hosts.append(HostState(spec=h, powered_on=on))
-    by_id = {h.spec.id: h for h in hosts}
     vms = []
     for v in scenario.vms:
         hid = plan.assignments[v.id]
-        by_id[hid].resident_vms.append(v.id)
+        hosts[hid].resident_vms.append(v.id)
         vms.append(VmState(spec=v, host_id=hid, demand_mips=v.requested_mips,
                            remaining_work_mi=v.total_work_mi))
     rng = SeededRng(scenario.seed if seed is None else seed)
@@ -141,13 +140,12 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     frame_wh = total_wh - frame_wh_before
 
     # 3. advance work; finished VMs leave their hosts for good
-    by_id = {h.spec.id: h for h in state.hosts}
     for vm_id, vm in list(active.items()):
         executed = min(allocations[vm_id] * dt, vm.remaining_work_mi)
         vm.remaining_work_mi -= executed
         if vm.remaining_work_mi <= 0.0:
             vm.remaining_work_mi = 0.0
-            by_id[vm.host_id].resident_vms.remove(vm_id)
+            state.hosts[vm.host_id].resident_vms.remove(vm_id)
             vm.host_id = None
             vm.demand_mips = 0.0
             del active[vm_id]
@@ -156,8 +154,8 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     plan = policies.reallocate(scenario.policy, state.hosts, active, state.rng)
     for v, src, dst in plan.moves:
         if src is not None:
-            by_id[src].resident_vms.remove(v)
-        target = by_id[dst]
+            state.hosts[src].resident_vms.remove(v)
+        target = state.hosts[dst]
         target.powered_on = True
         target.resident_vms.append(v)
         active[v].host_id = dst

@@ -183,6 +183,12 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A fleet, its policy and its run settings.
+
+    Ids are positions: ``hosts[i].id == i`` and ``vms[i].id == i``, so
+    the simulator indexes hosts by id; there is at least one of each.
+    """
+
     hosts: tuple
     vms: tuple
     policy: PolicyConfig
@@ -191,6 +197,11 @@ class Scenario:
     runs: int = 10
 
     def __post_init__(self):
+        for name, specs in (("host", self.hosts), ("VM", self.vms)):
+            if not specs:
+                raise ValueError("a scenario needs at least one %s" % name)
+            if any(s.id != i for i, s in enumerate(specs)):
+                raise ValueError("%s ids must be their positions 0, 1, 2, ..." % name)
         if not isinstance(self.policy, PolicyConfig):
             raise ValueError("policy must be a PolicyConfig")
         if not (math.isfinite(self.frame_seconds) and self.frame_seconds > 0):

@@ -19,7 +19,8 @@ from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 def underloaded_hosts(hosts, view, lower_threshold: float) -> list:
     """Ids of powered-on, non-empty hosts strictly below the lower threshold, emptiest first.
 
-    A host's load is the CPU demand of its snapshot in ``view`` (host id -> HostSnapshot).
+    A host's load is the CPU demand of its snapshot in ``view``, which is
+    indexed by host id: ``view[h.spec.id]``.
     """
     loads = sorted((view[h.spec.id].cpu_demand_mips / h.spec.mips_capacity, h.spec.id)
                    for h in hosts if h.powered_on and h.resident_vms)
@@ -96,8 +97,9 @@ def _request(vm_ids, vms) -> list:
 def reallocate(config: PolicyConfig, hosts, vms, rng) -> MigrationPlan:
     """Compute this frame's migrations for the configured policy.
 
-    ``hosts`` is the current fleet state, ``vms`` maps vm id -> VmState
-    for every active VM.  The returned plan never moves a VM to the host
+    ``hosts`` is the current fleet state, with ``hosts[i]`` of id ``i``
+    (as in a ``Scenario``); ``vms`` maps vm id -> VmState for every
+    active VM.  The returned plan never moves a VM to the host
     it already occupies.
     """
     if config.kind in STATIC_KINDS:
@@ -131,28 +133,25 @@ def _commit(view, plan, vms, moves):
 
 
 def _reallocate_two_threshold(config, hosts, vms, rng):
-    # The pass's load view: each host's residents summed once, in resident
-    # order.  Every decision below reads it, and each committed placement
-    # updates it in place.
-    view = {h.spec.id: _snapshot(h, h.resident_vms, vms) for h in hosts}
-    by_id = {h.spec.id: h for h in hosts}
+    # The pass's load view, indexed by host id: each host's residents summed
+    # once, in resident order.  Every decision below reads it, and each
+    # committed placement updates it in place.
+    view = [_snapshot(h, h.resident_vms, vms) for h in hosts]
     under = underloaded_hosts(hosts, view, config.lower_threshold)
     select = {"MM": select_vms_mm, "HPG": select_vms_hpg,
               "RC": lambda h, vms, upper: select_vms_rc(h, vms, upper, rng)}[config.kind]
     over_selected = []
     # an off or empty host carries no load, so it is never over the threshold
-    for hid in sorted(by_id):
-        h, s = by_id[hid], view[hid]
+    for h, s in zip(hosts, view):
         if s.cpu_demand_mips / s.mips_capacity > config.upper_threshold:
             picked = select(h, vms, config.upper_threshold)
             # the host as relief sees it: its picks are leaving
-            view[hid] = _snapshot(h, [v for v in h.resident_vms if v not in picked], vms)
+            view[h.spec.id] = _snapshot(h, [v for v in h.resident_vms if v not in picked], vms)
             over_selected += picked
-    snapshots = list(view.values())
     moves = {}
 
     def place(vm_ids, excluded=frozenset()):
-        return mbfd(PlacementRequest(vms=_request(vm_ids, vms), hosts=snapshots,
+        return mbfd(PlacementRequest(vms=_request(vm_ids, vms), hosts=view,
                                      upper_threshold=config.upper_threshold,
                                      allow_power_on=False, excluded_hosts=excluded))
 
@@ -181,7 +180,7 @@ def _reallocate_two_threshold(config, hosts, vms, rng):
             continue
         # never power a host on to absorb an evacuation: swapping the
         # load onto a fresh host saves nothing and churns migrations
-        plan = place(by_id[hid].resident_vms, frozenset(evacuated | {hid}))
+        plan = place(hosts[hid].resident_vms, frozenset(evacuated | {hid}))
         if plan.unplaced:
             continue
         _commit(view, plan, vms, moves)

@@ -24,8 +24,8 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_key(seed: int, *keys: int) -> int:
-    h = _mix64(seed)
+def _mix_key(mixed_seed: int, *keys: int) -> int:
+    h = mixed_seed  # _mix64(seed)
     for k in keys:
         h = _mix64(h ^ ((k * _GOLDEN) & _MASK64))
     return h
@@ -41,6 +41,7 @@ class SeededRng:
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
+        self._mixed_seed = _mix64(self.seed)
         self._counter = 0
 
     def next_u64(self) -> int:
@@ -57,12 +58,12 @@ class SeededRng:
 
     def keyed_u01(self, *keys: int) -> float:
         """Uniform draw determined purely by (seed, keys); not streamed."""
-        return _to_unit(_mix_key(self.seed, *keys))
+        return _to_unit(_mix_key(self._mixed_seed, *keys))
 
 
 def utilization_at(seed: int, vm_id: int, frame_index: int) -> float:
     """Keyed utilization sample for a VM in a frame; pure in its arguments."""
-    return _to_unit(_mix_key(seed & _MASK64, vm_id, frame_index))
+    return _to_unit(_mix_key(_mix64(seed), vm_id, frame_index))
 
 
 # Default per-frame step of the utilization random walk, as a fraction of
@@ -103,4 +104,4 @@ def child_rng(rng, run_index: int) -> SeededRng:
     if run_index < 0:
         raise ValueError("run_index must be non-negative")
     seed = rng.seed if isinstance(rng, SeededRng) else int(rng)
-    return SeededRng(_mix_key(seed, run_index))
+    return SeededRng(_mix_key(_mix64(seed), run_index))

@@ -5,12 +5,15 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from dcsim.cli import (CSV_COLUMNS, ConfigError, DEFAULT_POLICIES, emit_report,
-                       main, parse_config, run_experiment)
+from dcsim.cli import (CSV_COLUMNS, ConfigError, DEFAULT_POLICIES, ExperimentSpec,
+                       _spec_from_args, build_parser, emit_report, main, parse_config,
+                       run_experiment)
 from dcsim.model import PolicyConfig
 
 
@@ -70,7 +73,8 @@ def test_config_errors(text, fragment):
 
 @pytest.mark.parametrize("text", ["hosts = 0", "vms = 0", "vms = -3"])
 def test_config_rejects_an_empty_fleet(text):
-    with pytest.raises(ConfigError, match="line 1: .* must be at least 1"):
+    # Scenario owns the fleet rule, so the message carries no config line number
+    with pytest.raises(ValueError, match="a scenario needs at least one (host|VM)$"):
         parse_config(text)
 
 
@@ -258,14 +262,33 @@ def test_config_file_with_flag_overrides(tmp_path):
 @pytest.mark.parametrize("flags", [["--vms", "0"], ["--hosts", "0"], ["--hosts", "-1"]])
 def test_empty_fleet_flag_exits_1(capsys, flags):
     assert main(["--policy", "NPA", "--runs", "1"] + flags) == 1
-    assert "must be at least 1" in capsys.readouterr().err
+    what = "VM" if flags[0] == "--vms" else "host"
+    assert capsys.readouterr().err == "error: a scenario needs at least one %s\n" % what
 
 
 def test_empty_fleet_in_config_file_exits_1(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("vms = 0\n")
     assert main(["--config", str(cfg)]) == 1
-    assert "must be at least 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: a scenario needs at least one VM\n"
+
+
+@pytest.mark.parametrize("where", ["nonexistent.cfg", "."])
+def test_unreadable_config_file_exits_1(tmp_path, capsys, where):
+    cfg = tmp_path / where
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err
+
+
+@pytest.mark.parametrize("where", ["missing/dir/x.csv", "."])
+def test_unwritable_out_path_exits_1(tmp_path, capsys, where):
+    out = tmp_path / where
+    assert main(["--policy", "NPA", "--runs", "1", "--hosts", "2", "--vms", "2",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == ""
 
 
 def run_child(*args):
@@ -295,3 +318,51 @@ def test_frame_too_short_to_advance_work_exits_1():
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: frame 0 advanced no VM's remaining work; the run cannot end"]
+
+
+# The parse half of the command line, over generated config text and flags:
+# every input must end in a spec, a ValueError (ConfigError included) or
+# argparse's exit 1.  Nothing is simulated.  Values are at most three
+# characters, so no generated fleet has more than 999 hosts or VMs.
+_values = st.one_of(
+    st.text(alphabet="0123456789.-+e_:, naifx", max_size=3),
+    st.sampled_from(["0", "-1", "1", "42", "30", "0.3", "0.7", "1e9", "nan", "inf",
+                     "MM", "ST", "NPA", "HPG", "0.3:0.7, 0.4:0.8", "x.csv"]))
+_keys = st.sampled_from(["seed", "runs", "frame_seconds", "hosts", "vms", "out",
+                         "kind", "lower", "upper", "pairs", "bogus", ""])
+_config_lines = st.one_of(
+    st.sampled_from(["[policy]", "[sweep]", "[nonsense]", "# comment", "", "seed"]),
+    st.builds(lambda k, v: "%s = %s" % (k, v), _keys, _values))
+_flags = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["--policy"]),
+              st.sampled_from(["NPA", "DVFS", "ST", "MM", "HPG", "RC", "BOGUS"])),
+    st.tuples(st.sampled_from(["--lower", "--upper", "--seed", "--runs", "--frame-seconds",
+                               "--hosts", "--vms", "--out", "--format"]), _values),
+    st.tuples(st.sampled_from(["--bogus", "--runs", "--policy"]))), max_size=6)
+
+
+def _parse_outcome(parse):
+    try:
+        spec = parse()
+    except ValueError:
+        return "error"
+    except SystemExit as exc:
+        assert exc.code == 1
+        return "exit 1"
+    assert isinstance(spec, ExperimentSpec) and spec.policies and spec.scenario.vms
+    return "spec"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_config_lines, max_size=8), _flags, st.booleans())
+def test_front_end_ends_in_a_spec_or_a_clean_error(lines, flags, with_config):
+    text = "\n".join(lines)
+    event("parse_config: " + _parse_outcome(lambda: parse_config(text)))
+    argv = [arg for flag in flags for arg in flag]
+    with tempfile.TemporaryDirectory() as tmp:
+        if with_config:
+            cfg = Path(tmp) / "exp.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            argv = ["--config", str(cfg)] + argv
+        event("flags: " + _parse_outcome(
+            lambda: _spec_from_args(build_parser().parse_args(argv))))

@@ -144,6 +144,20 @@ def test_scenario_rejects_non_finite_frame(frame_seconds):
         _mk_scenario(frame_seconds=frame_seconds)
 
 
+@pytest.mark.parametrize("hosts,vms,message", [
+    ((), (vm_spec(),), "at least one host"),
+    ((host_spec(),), (), "at least one VM"),
+    # two hosts sharing id 0 once put both VMs on one host
+    ((host_spec(), host_spec()), (vm_spec(id=0), vm_spec(id=1)), "host ids"),
+    ((host_spec(id=1), host_spec(id=0)), (vm_spec(),), "host ids"),
+    ((host_spec(),), (vm_spec(id=1), vm_spec(id=0)), "VM ids"),
+    ((host_spec(),), (vm_spec(id=0), vm_spec(id=2)), "VM ids"),
+])
+def test_scenario_ids_are_positions_and_fleet_is_not_empty(hosts, vms, message):
+    with pytest.raises(ValueError, match=message):
+        Scenario(hosts=hosts, vms=vms, policy=PolicyConfig("DVFS"))
+
+
 def test_default_fleet_shape():
     sc = default_paper_scenario()
     assert len(sc.hosts) == 100
