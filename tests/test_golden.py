@@ -5,7 +5,11 @@ the placement kernel was rewritten for speed, so byte equality shows that
 a speed-up changed no statistic.  The third, a config file with a
 ``[sweep]`` grid plus command line overrides, was written by the commit
 before the one that made the command line build its Scenario in a single
-step, so it pins that refactor too.  A change that alters results on
+step, so it pins that refactor too.  The fourth runs a mixed fleet (hosts
+that differ in peak power, idle fraction and RAM; VMs with non-round
+MIPS, RAM and storage) through the library; it was written by the commit
+before the one that folded the engine's per-frame host and VM passes into
+one.  A change that alters results on
 purpose (such as the exact tie rule for placement in ROADMAP item 1)
 regenerates them with the same command lines and says so.
 """
@@ -14,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from dcsim.cli import main
+from dcsim.cli import ExperimentSpec, emit_report, main, run_experiment
+from dcsim.model import HostSpec, PolicyConfig, Scenario, VmSpec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,3 +42,24 @@ def test_report_matches_golden_bytes(tmp_path, name, args):
     out = tmp_path / name
     assert main(args + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _mixed_fleet():
+    """12 hosts and 36 VMs, each attribute cycling through its own classes."""
+    hosts = tuple(HostSpec(id=i, mips_capacity=(1000.0, 2000.0, 3000.0)[i % 3],
+                           ram_mb=(4096.0, 8192.0, 6144.5)[i % 3], storage_gb=1024.0,
+                           p_max_watts=(171.3, 250.0, 312.7, 198.4)[i % 4],
+                           idle_fraction=(0.55, 0.7, 0.63)[i % 3])
+                  for i in range(12))
+    vms = tuple(VmSpec(id=i, requested_mips=(237.5, 512.3, 761.9, 998.1)[i % 4],
+                       ram_mb=(128.0, 256.5, 512.0)[i % 3], storage_gb=(1.0, 2.5)[i % 2],
+                       total_work_mi=150000.0)
+                for i in range(36))
+    return Scenario(hosts=hosts, vms=vms, policy=PolicyConfig("NPA"), seed=42, runs=3)
+
+
+def test_mixed_fleet_report_matches_golden_bytes():
+    rows = [PolicyConfig("NPA"), PolicyConfig("DVFS"), PolicyConfig("ST", upper_threshold=0.55)]
+    rows += [PolicyConfig(kind, 0.3, 0.7) for kind in ("MM", "HPG", "RC")]
+    report = run_experiment(ExperimentSpec(scenario=_mixed_fleet(), policies=rows))
+    assert emit_report(report) == (GOLDEN / "mixed_fleet_runs3_seed42.csv").read_bytes()
