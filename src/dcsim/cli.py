@@ -193,17 +193,17 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     return Report(rows=rows, scenario=base)
 
 
-def _fmt(value, places=6):
+def _fmt(value):
     if value is None:
         return ""
-    return ("%.*f" % (places, value)).rstrip("0").rstrip(".") or "0"
+    return ("%.6f" % value).rstrip("0").rstrip(".") or "0"
 
 
 def _row_cells(row: ReportRow, scenario: Scenario):
     p = row.policy
     cells = [p.kind,
-             _fmt(None if p.lower_threshold is None else 100.0 * p.lower_threshold, 1),
-             _fmt(None if p.upper_threshold is None else 100.0 * p.upper_threshold, 1)]
+             _fmt(None if p.lower_threshold is None else 100.0 * p.lower_threshold),
+             _fmt(None if p.upper_threshold is None else 100.0 * p.upper_threshold)]
     for _, field, has_std, static_blank in REPORT_STATS:
         values = [float(getattr(r, field)) for r in row.runs]
         stats = [statistics.fmean(values)]

@@ -1,11 +1,12 @@
 """Frame-driven simulation loop.
 
-Each frame, in order: sample per-VM utilization; host by host, share MIPS
-proportionally, record SLA measurements and charge the frame's energy;
-advance VM work (finished VMs leave the fleet); invoke the policy and apply
-its migration plan; then adjust host power states.  SLA and energy are
-therefore charged against the placement in force during the frame, and the
-policy reacts to the loads it just observed.
+Each frame goes once over the hosts in fleet order.  For each host it
+samples its VMs' utilization in resident order, shares the host's MIPS
+proportionally, charges the frame's energy, records SLA measurements and
+advances each VM's work (finished VMs leave the fleet).  Then the policy
+is invoked, its migration plan applied and host power states adjusted.
+SLA and energy are therefore charged against the placement in force
+during the frame, and the policy reacts to the loads it just observed.
 """
 
 import math
@@ -18,12 +19,9 @@ from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 from . import policies
 from .workload import DEFAULT_UTIL_STEP, SeededRng, walk_utilization
 
-# Policies that leave unused hosts off after the initial placement.
-# NPA keeps the whole fleet at peak power by definition.  DVFS scales
-# power with load but performs no consolidation at run time, so a host
-# that empties out stays on at idle; the migrating policies switch
-# emptied hosts off.
-POWER_MANAGED = tuple(k for k in POLICY_KINDS if k != "NPA")
+# Policies that switch a host off once it empties out.  NPA and DVFS
+# perform no consolidation at run time, so under them a host that empties
+# out stays on (NPA at peak power by definition, DVFS at idle).
 CONSOLIDATING = tuple(k for k in POLICY_KINDS if k not in STATIC_KINDS)
 
 
@@ -54,11 +52,11 @@ def initial_placement(scenario: Scenario, seed=None) -> SimulationState:
 
     Placement starts from an all-off fleet so the activation penalty
     packs VMs onto as few, as power-efficient hosts as possible.  Hosts
-    that receive no VMs stay off under power-managed policies and are
-    powered on under NPA.
+    that receive no VMs are powered on under NPA and stay off under
+    every other policy.
     """
-    snapshots = [HostSnapshot.from_state(HostState(spec=h, powered_on=False), 0.0, 0.0, 0.0)
-                 for h in scenario.hosts]
+    hosts = [HostState(spec=h, powered_on=False) for h in scenario.hosts]
+    snapshots = [HostSnapshot.from_state(h, 0.0, 0.0, 0.0) for h in hosts]
     requests = [VmRequest(id=v.id, demand_mips=v.requested_mips,
                           ram_mb=v.ram_mb, storage_gb=v.storage_gb)
                 for v in scenario.vms]
@@ -67,18 +65,15 @@ def initial_placement(scenario: Scenario, seed=None) -> SimulationState:
         raise InfeasibleScenarioError(
             "cannot place %d VM(s) at requested capacity" % len(plan.unplaced))
 
-    used = set(plan.assignments.values())
-    power_managed = scenario.policy.kind in POWER_MANAGED
-    hosts = []
-    for h in scenario.hosts:
-        on = (h.id in used) if power_managed else True
-        hosts.append(HostState(spec=h, powered_on=on))
     vms = []
     for v in scenario.vms:
         hid = plan.assignments[v.id]
         hosts[hid].resident_vms.append(v.id)
         vms.append(VmState(spec=v, host_id=hid, demand_mips=v.requested_mips,
                            remaining_work_mi=v.total_work_mi))
+    npa = scenario.policy.kind == "NPA"
+    for host in hosts:
+        host.powered_on = npa or bool(host.resident_vms)
     rng = SeededRng(scenario.seed if seed is None else seed)
     return SimulationState(frame_index=0, hosts=hosts, vms=vms, rng=rng,
                            active={vm.spec.id: vm for vm in vms})
@@ -98,57 +93,55 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     """Advance the simulation by one frame; returns the frame's metrics.
 
     ``sampler`` overrides utilization sampling for tests: a callable
-    (vm_id, frame_index) -> fraction in [0, 1].
+    (vm_id, frame_index) -> fraction in [0, 1], called host by host in
+    fleet order and, on each host, in resident order.
     """
     dt = scenario.frame_seconds
+    frame = state.frame_index
     active = state.active
-
-    # 1. sample utilization: a reflected random walk over keyed uniform
-    # draws, so the trace for (seed, vm, frame) is policy-independent
-    for vm_id, vm in active.items():
-        if sampler is not None:
-            u = sampler(vm_id, state.frame_index)
-        else:
-            draw = state.rng.keyed_u01(vm_id, state.frame_index)
-            if state.frame_index == 0:
-                u = draw
-            else:
-                u = walk_utilization(state.utilization[vm_id], draw,
-                                     DEFAULT_UTIL_STEP)
-        state.utilization[vm_id] = u
-        vm.demand_mips = u * vm.spec.requested_mips
-
-    # 2. per host: proportional sharing, SLA accounting and energy, from demand so an
-    # oversubscribed host is exactly at full load; NPA draws peak power everywhere, always
+    utilization = state.utilization
     npa = scenario.policy.kind == "NPA"
     measurements = len(active)
     violations = 0
     shortfall_sum = 0.0
-    allocations = {}
     frame_wh_before = total_wh = state.energy_wh
     for host in state.hosts:
-        demands = {v: active[v].demand_mips for v in host.resident_vms}
+        # 1. sample utilization: a reflected random walk over keyed uniform
+        # draws, so the trace for (seed, vm, frame) is policy-independent
+        demands = {}
+        for vm_id in host.resident_vms:
+            vm = active[vm_id]
+            if sampler is not None:
+                u = sampler(vm_id, frame)
+            else:
+                draw = state.rng.keyed_u01(vm_id, frame)
+                u = draw if frame == 0 else walk_utilization(utilization[vm_id], draw,
+                                                             DEFAULT_UTIL_STEP)
+            utilization[vm_id] = u
+            demands[vm_id] = vm.demand_mips = u * vm.spec.requested_mips
+
+        # 2. proportional sharing and energy, from demand so an oversubscribed
+        # host is exactly at full load; NPA draws peak power everywhere, always
         alloc = share_mips(host, demands)
-        allocations.update(alloc)
-        for v, a in alloc.items():
-            if a < demands[v]:
-                violations += 1
-                shortfall_sum += (demands[v] - a) / demands[v]
         p = host.spec.p_max_watts if npa else host_power(host, demands)
         total_wh = accumulate(total_wh, p, dt)
+
+        # 3. SLA accounting and work; ``alloc`` is a fresh dict, so finished
+        # VMs can leave the host for good while it is read
+        for vm_id, a in alloc.items():
+            d = demands[vm_id]
+            if a < d:
+                violations += 1
+                shortfall_sum += (d - a) / d
+            vm = active[vm_id]
+            vm.remaining_work_mi -= min(a * dt, vm.remaining_work_mi)
+            if vm.remaining_work_mi <= 0.0:
+                host.resident_vms.remove(vm_id)
+                vm.host_id = None
+                vm.demand_mips = 0.0
+                del active[vm_id]
     state.energy_wh = total_wh
     frame_wh = total_wh - frame_wh_before
-
-    # 3. advance work; finished VMs leave their hosts for good
-    for vm_id, vm in list(active.items()):
-        executed = min(allocations[vm_id] * dt, vm.remaining_work_mi)
-        vm.remaining_work_mi -= executed
-        if vm.remaining_work_mi <= 0.0:
-            vm.remaining_work_mi = 0.0
-            state.hosts[vm.host_id].resident_vms.remove(vm_id)
-            vm.host_id = None
-            vm.demand_mips = 0.0
-            del active[vm_id]
 
     # 4. policy reallocation, applied atomically
     plan = policies.reallocate(scenario.policy, state.hosts, active, state.rng)
@@ -167,7 +160,7 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
                 host.powered_on = False
 
     state.frame_index += 1
-    metrics = FrameMetrics(frame_index=state.frame_index - 1, energy_wh=frame_wh,
+    metrics = FrameMetrics(frame_index=frame, energy_wh=frame_wh,
                            violation_events=violations, measurements=measurements,
                            shortfall_sum=shortfall_sum, migrations=len(plan.moves))
     state.frames.append(metrics)

@@ -36,11 +36,12 @@ def accumulate(total_wh: float, p_watts: float, dt_seconds: float) -> float:
 def host_power(host: HostState, demands) -> float:
     """Power draw of ``host`` given per-VM CPU demands (vm id -> MIPS).
 
-    A powered-off host draws nothing.  Oversubscribed hosts are clamped
-    to 100% utilization: a CPU cannot be more than fully busy.
+    The load is the sum of the demands given, one per resident VM.  A
+    powered-off host draws nothing; an oversubscribed one is clamped to
+    100% utilization, as a CPU cannot be more than fully busy.
     """
     if not host.powered_on:
         return 0.0
-    total = sum(demands[vm_id] for vm_id in host.resident_vms)
+    total = sum(demands.values())
     u = min(1.0, total / host.spec.mips_capacity)
     return power(host.spec, u)

@@ -185,6 +185,19 @@ def test_flag_thresholds_are_percentages(tmp_path):
     assert rows[1][2] == "50"
 
 
+
+@pytest.mark.parametrize("flags, cells", [
+    (["--policy", "ST", "--upper", "0.01"], ["ST", "", "0.01"]),
+    (["--policy", "ST", "--upper", "50.04"], ["ST", "", "50.04"]),
+    (["--policy", "MM", "--lower", "0.5", "--upper", "70.25"], ["MM", "0.5", "70.25"]),
+])
+def test_threshold_cells_keep_their_precision(tmp_path, flags, cells):
+    # a threshold rounded to one place could print as a value the policy rejects
+    out = tmp_path / "r.csv"
+    assert main(flags + ["--hosts", "5", "--vms", "5", "--runs", "1", "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[1][:3] == cells
+
 def test_policy_flag_repeats(tmp_path):
     out = tmp_path / "r.csv"
     rc = main(["--policy", "NPA", "--policy", "DVFS", "--hosts", "12",

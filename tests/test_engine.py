@@ -262,6 +262,17 @@ def test_rc_consumes_extra_draws_only_when_selecting():
     assert state.rng.sequential > 0
 
 
+
+def test_sampler_is_called_host_by_host_in_resident_order():
+    sc = default_paper_scenario(policy="MM", lower_threshold=0.3, upper_threshold=0.7,
+                                n_hosts=12, n_vms=36)
+    state = initial_placement(sc)
+    for _ in range(5):
+        expected = [(v, state.frame_index) for h in state.hosts for v in h.resident_vms]
+        calls = []
+        step(state, sc, sampler=lambda v, f: calls.append((v, f)) or (v * 37 + f) % 100 / 100)
+        assert calls == expected
+
 def test_frame_clock_advances_by_frame_seconds():
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,), frame=30.0)
     state = initial_placement(sc)

@@ -78,6 +78,13 @@ def test_host_power_sums_resident_allocations():
     assert p == pytest.approx(power(DEFAULT_PARAMS, 0.5))
 
 
+
+def test_host_power_sums_the_demands_it_is_given():
+    # the load is the demands passed in, not a lookup of the host's residents
+    host = _host(cap=1000.0, residents=[1])
+    p = host_power(host, {1: 250.0, 2: 250.0})
+    assert p == pytest.approx(power(DEFAULT_PARAMS, 0.5))
+
 def test_host_power_clamps_at_capacity():
     host = _host(cap=1000.0, residents=[1, 2])
     p = host_power(host, {1: 900.0, 2: 900.0})
