@@ -28,6 +28,7 @@ import io
 import statistics
 import sys
 from dataclasses import dataclass, replace
+from decimal import Decimal
 
 from .engine import InfeasibleScenarioError, simulate
 from .model import (POLICY_KINDS, STATIC_KINDS, TWO_THRESHOLD_KINDS, PolicyConfig,
@@ -179,17 +180,23 @@ def _build_spec(scalars, policies) -> ExperimentSpec:
 
 
 def run_experiment(spec: ExperimentSpec) -> Report:
-    """Execute every (policy, thresholds) row over `runs` child-seeded runs."""
+    """Execute every (policy, thresholds) row over `runs` child-seeded runs.
+
+    The run index is the outer loop: every row's run ``i`` replays one
+    workload trace drawn under ``child_rng(seed, i)``, so the results equal
+    independent ``simulate`` calls under the same seeds.
+    """
     base = spec.scenario
-    rows = []
-    for p in spec.policies:
-        scenario = replace(base, policy=p)
-        try:
-            results = [simulate(scenario, seed=child_rng(base.seed, i).seed)[1]
-                       for i in range(base.runs)]
-        except InfeasibleScenarioError as exc:
-            raise InfeasibleScenarioError("%s (policy row %s)" % (exc, p.kind))
-        rows.append(ReportRow(policy=p, runs=results))
+    rows = [ReportRow(policy=p, runs=[]) for p in spec.policies]
+    scenarios = [replace(base, policy=p) for p in spec.policies]
+    for i in range(base.runs):
+        seed = child_rng(base.seed, i).seed
+        walks = {}
+        for row, scenario in zip(rows, scenarios):
+            try:
+                row.runs.append(simulate(scenario, seed=seed, walks=walks)[1])
+            except InfeasibleScenarioError as exc:
+                raise InfeasibleScenarioError("%s (policy row %s)" % (exc, row.policy.kind))
     return Report(rows=rows, scenario=base)
 
 
@@ -199,11 +206,17 @@ def _fmt(value):
     return ("%.6f" % value).rstrip("0").rstrip(".") or "0"
 
 
+def _pct(fraction):
+    # the stored fraction times 100 in exact decimal: 0.3 prints 30, and
+    # no threshold the policy accepts prints as 0 or rounds up to 100
+    if fraction is None:
+        return ""
+    return format((Decimal(repr(fraction)) * 100).normalize(), "f")
+
+
 def _row_cells(row: ReportRow, scenario: Scenario):
     p = row.policy
-    cells = [p.kind,
-             _fmt(None if p.lower_threshold is None else 100.0 * p.lower_threshold),
-             _fmt(None if p.upper_threshold is None else 100.0 * p.upper_threshold)]
+    cells = [p.kind, _pct(p.lower_threshold), _pct(p.upper_threshold)]
     for _, field, has_std, static_blank in REPORT_STATS:
         values = [float(getattr(r, field)) for r in row.runs]
         stats = [statistics.fmean(values)]

@@ -10,6 +10,7 @@ during the frame, and the policy reacts to the loads it just observed.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, RunMetrics,
@@ -29,8 +30,14 @@ class InfeasibleScenarioError(RuntimeError):
     """The VM fleet cannot be placed at requested capacity."""
 
 
+# Frames one run may take before it is stopped.  The benchmark's workloads
+# take at most a few hundred (about 400 on 5 s frames), so only a frame far
+# too short for the fleet's work comes near it.
+MAX_FRAMES = 100_000
+
+
 class StalledRunError(ValueError):
-    """A frame changed no VM's remaining work (too short a frame, or zero load)."""
+    """A frame changed no VM's remaining work, or the run reached MAX_FRAMES."""
 
 
 @dataclass
@@ -43,17 +50,21 @@ class SimulationState:
     active: dict = field(default_factory=dict)
     energy_wh: float = 0.0
     frames: list = field(default_factory=list)
-    # current utilization fraction per VM id, advanced by the random walk
-    utilization: dict = field(default_factory=dict)
+    # vm id -> array('d') of the VM's utilization at frames 0, 1, ...; drawn
+    # as far as the VM has run, and shared by runs under the same seed
+    walks: dict = field(default_factory=dict)
 
 
-def initial_placement(scenario: Scenario, seed=None) -> SimulationState:
+def initial_placement(scenario: Scenario, seed=None, walks=None) -> SimulationState:
     """Place the fleet at requested capacity (100% utilization assumed).
 
     Placement starts from an all-off fleet so the activation penalty
     packs VMs onto as few, as power-efficient hosts as possible.  Hosts
     that receive no VMs are powered on under NPA and stay off under
     every other policy.
+
+    ``walks`` is the run's workload trace, by default a fresh one; pass
+    the trace of an earlier run under the same seed to replay it.
     """
     hosts = [HostState(spec=h, powered_on=False) for h in scenario.hosts]
     snapshots = [HostSnapshot.from_state(h, 0.0, 0.0, 0.0) for h in hosts]
@@ -76,7 +87,8 @@ def initial_placement(scenario: Scenario, seed=None) -> SimulationState:
         host.powered_on = npa or bool(host.resident_vms)
     rng = SeededRng(scenario.seed if seed is None else seed)
     return SimulationState(frame_index=0, hosts=hosts, vms=vms, rng=rng,
-                           active={vm.spec.id: vm for vm in vms})
+                           active={vm.spec.id: vm for vm in vms},
+                           walks={} if walks is None else walks)
 
 
 def share_mips(host: HostState, demands) -> dict:
@@ -92,14 +104,18 @@ def share_mips(host: HostState, demands) -> dict:
 def step(state: SimulationState, scenario: Scenario, sampler=None):
     """Advance the simulation by one frame; returns the frame's metrics.
 
+    A VM's utilization at frame ``f`` is ``state.walks[vm][f]``; a walk
+    that does not reach ``f`` yet is extended by the frame's keyed draw, so
+    runs replaying one trace draw each (vm, frame) once.
+
     ``sampler`` overrides utilization sampling for tests: a callable
     (vm_id, frame_index) -> fraction in [0, 1], called host by host in
-    fleet order and, on each host, in resident order.
+    fleet order and, on each host, in resident order; it bypasses the walks.
     """
     dt = scenario.frame_seconds
     frame = state.frame_index
     active = state.active
-    utilization = state.utilization
+    walks = state.walks
     npa = scenario.policy.kind == "NPA"
     measurements = len(active)
     violations = 0
@@ -114,10 +130,16 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
             if sampler is not None:
                 u = sampler(vm_id, frame)
             else:
-                draw = state.rng.keyed_u01(vm_id, frame)
-                u = draw if frame == 0 else walk_utilization(utilization[vm_id], draw,
-                                                             DEFAULT_UTIL_STEP)
-            utilization[vm_id] = u
+                walk = walks.get(vm_id)
+                if walk is None:
+                    walk = walks[vm_id] = array("d")
+                if frame < len(walk):
+                    u = walk[frame]
+                else:
+                    draw = state.rng.keyed_u01(vm_id, frame)
+                    u = draw if frame == 0 else walk_utilization(walk[-1], draw,
+                                                                 DEFAULT_UTIL_STEP)
+                    walk.append(u)
             demands[vm_id] = vm.demand_mips = u * vm.spec.requested_mips
 
         # 2. proportional sharing and energy, from demand so an oversubscribed
@@ -167,10 +189,18 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     return metrics
 
 
-def simulate(scenario: Scenario, seed=None, sampler=None):
-    """Run to completion; returns (final state, aggregated RunMetrics)."""
-    state = initial_placement(scenario, seed=seed)
+def simulate(scenario: Scenario, seed=None, sampler=None, walks=None):
+    """Run to completion; returns (final state, aggregated RunMetrics).
+
+    ``walks`` is as for ``initial_placement``.  Raises ``StalledRunError``
+    at MAX_FRAMES frames.
+    """
+    state = initial_placement(scenario, seed=seed, walks=walks)
     while state.active:
+        if state.frame_index == MAX_FRAMES:
+            raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
+                                  "unfinished; use longer frames"
+                                  % (MAX_FRAMES, len(state.active)))
         work = [vm.remaining_work_mi for vm in state.active.values()]
         step(state, scenario, sampler=sampler)
         if len(state.active) == len(work) and all(

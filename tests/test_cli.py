@@ -14,6 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 from dcsim.cli import (CSV_COLUMNS, ConfigError, DEFAULT_POLICIES, ExperimentSpec,
                        _spec_from_args, build_parser, emit_report, main, parse_config,
                        run_experiment)
+from dcsim.engine import MAX_FRAMES
 from dcsim.model import PolicyConfig
 
 
@@ -190,9 +191,13 @@ def test_flag_thresholds_are_percentages(tmp_path):
     (["--policy", "ST", "--upper", "0.01"], ["ST", "", "0.01"]),
     (["--policy", "ST", "--upper", "50.04"], ["ST", "", "50.04"]),
     (["--policy", "MM", "--lower", "0.5", "--upper", "70.25"], ["MM", "0.5", "70.25"]),
+    # the stored fraction is 9.999999999999999e-10, printed exactly
+    (["--policy", "ST", "--upper", "1e-7"], ["ST", "", "0.00000009999999999999999"]),
+    (["--policy", "ST", "--upper", "99.9999999"], ["ST", "", "99.9999999"]),
 ])
 def test_threshold_cells_keep_their_precision(tmp_path, flags, cells):
-    # a threshold rounded to one place could print as a value the policy rejects
+    # a threshold rounded to a fixed number of places could print as a
+    # value the policy rejects (0) or one it did not run (100)
     out = tmp_path / "r.csv"
     assert main(flags + ["--hosts", "5", "--vms", "5", "--runs", "1", "--out", str(out)]) == 0
     rows = list(csv.reader(io.StringIO(out.read_text())))
@@ -258,6 +263,15 @@ def test_infeasible_scenario_exits_2(capsys):
     rc = main(["--policy", "NPA", "--hosts", "1", "--vms", "24", "--runs", "1"])
     assert rc == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_infeasible_first_row_is_named_when_rows_share_runs(capsys):
+    # the rows of a run index run back to back, and the first row fails first
+    rc = main(["--policy", "DVFS", "--policy", "NPA", "--hosts", "1", "--vms", "24",
+               "--runs", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("infeasible scenario: cannot place 23 VM(s) at "
+                                       "requested capacity (policy row DVFS)\n")
 
 
 def test_config_file_with_flag_overrides(tmp_path):
@@ -331,6 +345,17 @@ def test_frame_too_short_to_advance_work_exits_1():
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: frame 0 advanced no VM's remaining work; the run cannot end"]
+
+
+def test_run_past_the_frame_limit_exits_1():
+    # each 1e-4 s frame advances the work a little, but the run would need
+    # millions of frames: it once ran for minutes
+    proc = run_child("--policy", "NPA", "--hosts", "1", "--vms", "1", "--runs", "1",
+                     "--frame-seconds", "1e-4")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: the run reached its limit of %d frames with 1 VM(s) unfinished; use longer "
+        "frames" % MAX_FRAMES]
 
 
 # The parse half of the command line, over generated config text and flags:

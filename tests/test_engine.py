@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from dcsim import engine
 from dcsim import (InfeasibleScenarioError, SimulationState, StalledRunError,
                    default_paper_scenario, initial_placement, power, share_mips, simulate,
                    step)
@@ -209,6 +210,16 @@ def test_frame_that_advances_no_work_stops_the_run():
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
     with pytest.raises(StalledRunError, match="frame 0 advanced no VM's remaining work"):
         simulate(sc, sampler=pinned(0.0))
+
+
+def test_run_stops_at_the_frame_limit(monkeypatch):
+    # at full load the VM needs exactly 10 frames of 60 s
+    sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
+    monkeypatch.setattr(engine, "MAX_FRAMES", 10)
+    assert simulate(sc, sampler=pinned(1.0))[0].frame_index == 10
+    monkeypatch.setattr(engine, "MAX_FRAMES", 9)
+    with pytest.raises(StalledRunError, match="limit of 9 frames with 1 VM"):
+        simulate(sc, sampler=pinned(1.0))
 
 
 def test_simulation_is_deterministic():

@@ -12,14 +12,23 @@ before the one that folded the engine's per-frame host and VM passes into
 one.  A change that alters results on
 purpose (such as the exact tie rule for placement in ROADMAP item 1)
 regenerates them with the same command lines and says so.
+
+The mixed fleet also checks that the rows of a run index, which replay one
+shared workload trace, equal independent runs.  ``tools/check_goldens.py``
+runs the byte-comparing cases under other interpreters.
 """
 
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from dcsim.cli import ExperimentSpec, emit_report, main, run_experiment
+from dcsim.engine import simulate
 from dcsim.model import HostSpec, PolicyConfig, Scenario, VmSpec
+from dcsim.workload import SeededRng, child_rng
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,8 +67,47 @@ def _mixed_fleet():
     return Scenario(hosts=hosts, vms=vms, policy=PolicyConfig("NPA"), seed=42, runs=3)
 
 
+# one row of every policy kind
+MIXED_ROWS = ([PolicyConfig("NPA"), PolicyConfig("DVFS"), PolicyConfig("ST", upper_threshold=0.55)]
+              + [PolicyConfig(kind, 0.3, 0.7) for kind in ("MM", "HPG", "RC")])
+
+
 def test_mixed_fleet_report_matches_golden_bytes():
-    rows = [PolicyConfig("NPA"), PolicyConfig("DVFS"), PolicyConfig("ST", upper_threshold=0.55)]
-    rows += [PolicyConfig(kind, 0.3, 0.7) for kind in ("MM", "HPG", "RC")]
-    report = run_experiment(ExperimentSpec(scenario=_mixed_fleet(), policies=rows))
+    report = run_experiment(ExperimentSpec(scenario=_mixed_fleet(), policies=MIXED_ROWS))
     assert emit_report(report) == (GOLDEN / "mixed_fleet_runs3_seed42.csv").read_bytes()
+
+
+def test_rows_sharing_a_trace_equal_independent_runs():
+    # every row of a run index replays one workload trace; RC's row also
+    # shows that its sequential draws are untouched by the sharing
+    scenario = _mixed_fleet()
+    report = run_experiment(ExperimentSpec(scenario=scenario, policies=MIXED_ROWS))
+    for row in report.rows:
+        independent = [simulate(replace(scenario, policy=row.policy),
+                                seed=child_rng(scenario.seed, i).seed)[1]
+                       for i in range(scenario.runs)]
+        assert row.runs == independent, row.policy
+
+
+def test_each_vm_frame_is_drawn_once_per_run_index(monkeypatch):
+    draws = []
+    keyed_u01 = SeededRng.keyed_u01
+
+    def counting(rng, *keys):
+        draws.append((rng.seed,) + keys)
+        return keyed_u01(rng, *keys)
+
+    monkeypatch.setattr(SeededRng, "keyed_u01", counting)
+    scenario = _mixed_fleet()
+    run_experiment(ExperimentSpec(scenario=scenario, policies=MIXED_ROWS))
+    assert len(draws) == len(set(draws))
+    assert {seed for seed, _, _ in draws} == {child_rng(scenario.seed, i).seed
+                                             for i in range(scenario.runs)}
+
+
+def test_golden_matrix_script_matches_under_this_interpreter():
+    script = Path(__file__).resolve().parents[1] / "tools" / "check_goldens.py"
+    proc = subprocess.run([sys.executable, str(script), sys.executable],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [line.split()[-1] for line in proc.stdout.splitlines()] == ["match"] * (len(CASES) + 1)
