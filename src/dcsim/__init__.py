@@ -9,8 +9,9 @@ from .power import power, accumulate, host_power
 from .placement import PlacementRequest, HostSnapshot, VmRequest, power_increase, mbfd
 from .policies import (reallocate, select_vms_mm, select_vms_hpg, select_vms_rc,
                        underloaded_hosts)
-from .engine import (SimulationState, InfeasibleScenarioError, StalledRunError,
-                     initial_placement, share_mips, step, simulate)
+from .engine import (SimulationState, WorkloadTrace, InfeasibleScenarioError,
+                     StalledRunError, initial_placement, share_mips, step, simulate,
+                     run_lockstep)
 from .workload import SeededRng, child_rng, utilization_at
 
 __all__ = [
@@ -21,7 +22,7 @@ __all__ = [
     "PlacementRequest", "HostSnapshot", "VmRequest", "power_increase", "mbfd",
     "reallocate", "select_vms_mm", "select_vms_hpg",
     "select_vms_rc", "underloaded_hosts",
-    "SimulationState", "InfeasibleScenarioError", "StalledRunError",
-    "initial_placement", "share_mips", "step", "simulate",
+    "SimulationState", "WorkloadTrace", "InfeasibleScenarioError", "StalledRunError",
+    "initial_placement", "share_mips", "step", "simulate", "run_lockstep",
     "SeededRng", "child_rng", "utilization_at",
 ]

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 
-from .engine import InfeasibleScenarioError, simulate
+from .engine import InfeasibleScenarioError, WorkloadTrace, initial_placement, run_lockstep
 from .model import (POLICY_KINDS, STATIC_KINDS, TWO_THRESHOLD_KINDS, PolicyConfig,
                     Scenario, default_paper_scenario)
 from .workload import child_rng
@@ -182,21 +182,25 @@ def _build_spec(scalars, policies) -> ExperimentSpec:
 def run_experiment(spec: ExperimentSpec) -> Report:
     """Execute every (policy, thresholds) row over `runs` child-seeded runs.
 
-    The run index is the outer loop: every row's run ``i`` replays one
-    workload trace drawn under ``child_rng(seed, i)``, so the results equal
-    independent ``simulate`` calls under the same seeds.
+    The run index is the outer loop.  Run ``i`` of every row is placed under
+    ``child_rng(seed, i)``, in row order, and the rows then run in lockstep
+    on one shared workload trace, so the results equal independent
+    ``simulate`` calls under the same seeds.
     """
     base = spec.scenario
     rows = [ReportRow(policy=p, runs=[]) for p in spec.policies]
     scenarios = [replace(base, policy=p) for p in spec.policies]
     for i in range(base.runs):
         seed = child_rng(base.seed, i).seed
-        walks = {}
-        for row, scenario in zip(rows, scenarios):
+        trace = WorkloadTrace()
+        runs = []
+        for scenario in scenarios:
             try:
-                row.runs.append(simulate(scenario, seed=seed, walks=walks)[1])
+                runs.append((initial_placement(scenario, seed=seed, trace=trace), scenario))
             except InfeasibleScenarioError as exc:
-                raise InfeasibleScenarioError("%s (policy row %s)" % (exc, row.policy.kind))
+                raise InfeasibleScenarioError("%s (policy row %s)" % (exc, scenario.policy.kind))
+        for row, metrics in zip(rows, run_lockstep(runs)):
+            row.runs.append(metrics)
     return Report(rows=rows, scenario=base)
 
 

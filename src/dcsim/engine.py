@@ -10,7 +10,6 @@ during the frame, and the policy reacts to the loads it just observed.
 """
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, RunMetrics,
@@ -40,6 +39,23 @@ class StalledRunError(ValueError):
     """A frame changed no VM's remaining work, or the run reached MAX_FRAMES."""
 
 
+class WorkloadTrace:
+    """Each VM's utilization at the latest two frames, for runs in lockstep.
+
+    Runs under one seed that share a trace, and step frame ``f`` before any
+    of them steps ``f + 1``, see one workload: the first to need a VM at a
+    frame draws it, the others read it.  It holds two values per VM, however
+    many frames or runs read it.
+    """
+
+    __slots__ = ("frame", "current", "previous")
+
+    def __init__(self):
+        self.frame = 0
+        self.current = {}  # vm id -> utilization at ``frame``
+        self.previous = {}  # vm id -> utilization at ``frame - 1``
+
+
 @dataclass
 class SimulationState:
     frame_index: int
@@ -50,12 +66,10 @@ class SimulationState:
     active: dict = field(default_factory=dict)
     energy_wh: float = 0.0
     frames: list = field(default_factory=list)
-    # vm id -> array('d') of the VM's utilization at frames 0, 1, ...; drawn
-    # as far as the VM has run, and shared by runs under the same seed
-    walks: dict = field(default_factory=dict)
+    trace: WorkloadTrace = field(default_factory=WorkloadTrace)
 
 
-def initial_placement(scenario: Scenario, seed=None, walks=None) -> SimulationState:
+def initial_placement(scenario: Scenario, seed=None, trace=None) -> SimulationState:
     """Place the fleet at requested capacity (100% utilization assumed).
 
     Placement starts from an all-off fleet so the activation penalty
@@ -63,8 +77,8 @@ def initial_placement(scenario: Scenario, seed=None, walks=None) -> SimulationSt
     that receive no VMs are powered on under NPA and stay off under
     every other policy.
 
-    ``walks`` is the run's workload trace, by default a fresh one; pass
-    the trace of an earlier run under the same seed to replay it.
+    ``trace`` is the run's ``WorkloadTrace``, by default a fresh one; runs
+    under the same seed that ``run_lockstep`` steps together may share one.
     """
     hosts = [HostState(spec=h, powered_on=False) for h in scenario.hosts]
     snapshots = [HostSnapshot.from_state(h, 0.0, 0.0, 0.0) for h in hosts]
@@ -88,7 +102,7 @@ def initial_placement(scenario: Scenario, seed=None, walks=None) -> SimulationSt
     rng = SeededRng(scenario.seed if seed is None else seed)
     return SimulationState(frame_index=0, hosts=hosts, vms=vms, rng=rng,
                            active={vm.spec.id: vm for vm in vms},
-                           walks={} if walks is None else walks)
+                           trace=WorkloadTrace() if trace is None else trace)
 
 
 def share_mips(host: HostState, demands) -> dict:
@@ -104,18 +118,25 @@ def share_mips(host: HostState, demands) -> dict:
 def step(state: SimulationState, scenario: Scenario, sampler=None):
     """Advance the simulation by one frame; returns the frame's metrics.
 
-    A VM's utilization at frame ``f`` is ``state.walks[vm][f]``; a walk
-    that does not reach ``f`` yet is extended by the frame's keyed draw, so
-    runs replaying one trace draw each (vm, frame) once.
+    A VM's utilization at frame ``f`` is read from ``state.trace`` when a
+    run sharing the trace has drawn it; otherwise it is the keyed draw for
+    (vm, f), walked on from the VM's value at ``f - 1``, and is stored there.
+    Raises ``RuntimeError`` when runs sharing the trace fall out of lockstep.
 
     ``sampler`` overrides utilization sampling for tests: a callable
     (vm_id, frame_index) -> fraction in [0, 1], called host by host in
-    fleet order and, on each host, in resident order; it bypasses the walks.
+    fleet order and, on each host, in resident order; it bypasses the trace.
     """
     dt = scenario.frame_seconds
     frame = state.frame_index
     active = state.active
-    walks = state.walks
+    trace = state.trace
+    if trace.frame != frame:
+        if frame != 0 and frame != trace.frame + 1:
+            raise RuntimeError("a run at frame %d shares a workload trace at frame %d"
+                               % (frame, trace.frame))
+        trace.frame, trace.previous, trace.current = frame, trace.current, {}
+    current, previous = trace.current, trace.previous
     npa = scenario.policy.kind == "NPA"
     measurements = len(active)
     violations = 0
@@ -130,16 +151,11 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
             if sampler is not None:
                 u = sampler(vm_id, frame)
             else:
-                walk = walks.get(vm_id)
-                if walk is None:
-                    walk = walks[vm_id] = array("d")
-                if frame < len(walk):
-                    u = walk[frame]
-                else:
+                u = current.get(vm_id)
+                if u is None:
                     draw = state.rng.keyed_u01(vm_id, frame)
-                    u = draw if frame == 0 else walk_utilization(walk[-1], draw,
-                                                                 DEFAULT_UTIL_STEP)
-                    walk.append(u)
+                    u = current[vm_id] = draw if frame == 0 else walk_utilization(
+                        previous[vm_id], draw, DEFAULT_UTIL_STEP)
             demands[vm_id] = vm.demand_mips = u * vm.spec.requested_mips
 
         # 2. proportional sharing and energy, from demand so an oversubscribed
@@ -189,31 +205,44 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     return metrics
 
 
-def simulate(scenario: Scenario, seed=None, sampler=None, walks=None):
-    """Run to completion; returns (final state, aggregated RunMetrics).
+def simulate(scenario: Scenario, seed=None, sampler=None):
+    """Run to completion; returns (final state, aggregated RunMetrics)."""
+    state = initial_placement(scenario, seed=seed)
+    return state, run_lockstep([(state, scenario)], sampler=sampler)[0]
 
-    ``walks`` is as for ``initial_placement``.  Raises ``StalledRunError``
-    at MAX_FRAMES frames.
+
+def run_lockstep(runs, sampler=None):
+    """Step placed (state, scenario) runs side by side until each ends.
+
+    Every run steps frame ``f`` before any steps ``f + 1``, so runs that
+    share a ``WorkloadTrace`` draw each (vm, frame) once.  Returns each
+    run's RunMetrics, in order.  Raises ``StalledRunError`` when a run
+    reaches MAX_FRAMES frames or a frame advances none of its VMs' work.
     """
-    state = initial_placement(scenario, seed=seed, walks=walks)
-    while state.active:
-        if state.frame_index == MAX_FRAMES:
-            raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
-                                  "unfinished; use longer frames"
-                                  % (MAX_FRAMES, len(state.active)))
-        work = [vm.remaining_work_mi for vm in state.active.values()]
-        step(state, scenario, sampler=sampler)
-        if len(state.active) == len(work) and all(
-                vm.remaining_work_mi == w for vm, w in zip(state.active.values(), work)):
-            raise StalledRunError("frame %d advanced no VM's remaining work; the run "
-                                  "cannot end" % (state.frame_index - 1))
+    running = [(state, scenario) for state, scenario in runs if state.active]
+    while running:
+        for state, scenario in running:
+            if state.frame_index == MAX_FRAMES:
+                raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
+                                      "unfinished; use longer frames"
+                                      % (MAX_FRAMES, len(state.active)))
+            work = [vm.remaining_work_mi for vm in state.active.values()]
+            step(state, scenario, sampler=sampler)
+            if len(state.active) == len(work) and all(
+                    vm.remaining_work_mi == w for vm, w in zip(state.active.values(), work)):
+                raise StalledRunError("frame %d advanced no VM's remaining work; the run "
+                                      "cannot end" % (state.frame_index - 1))
+        running = [(state, scenario) for state, scenario in running if state.active]
+    return [_run_metrics(state, scenario) for state, scenario in runs]
+
+
+def _run_metrics(state, scenario):
     violations = sum(f.violation_events for f in state.frames)
     measurements = sum(f.measurements for f in state.frames)
     shortfall = math.fsum(f.shortfall_sum for f in state.frames)
-    metrics = RunMetrics(
+    return RunMetrics(
         energy_kwh=state.energy_wh / 1000.0,
         sla_violation_pct=100.0 * violations / measurements if measurements else 0.0,
         migration_count=sum(f.migrations for f in state.frames),
         avg_sla_pct=100.0 * shortfall / violations if violations else 0.0,
         sim_duration_s=state.frame_index * scenario.frame_seconds)
-    return state, metrics

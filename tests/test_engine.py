@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from dcsim import engine
-from dcsim import (InfeasibleScenarioError, SimulationState, StalledRunError,
+from dcsim import (InfeasibleScenarioError, SimulationState, StalledRunError, WorkloadTrace,
                    default_paper_scenario, initial_placement, power, share_mips, simulate,
                    step)
 from dcsim.model import HostSpec, HostState, PolicyConfig, Scenario, VmSpec, VmState
@@ -220,6 +220,18 @@ def test_run_stops_at_the_frame_limit(monkeypatch):
     monkeypatch.setattr(engine, "MAX_FRAMES", 9)
     with pytest.raises(StalledRunError, match="limit of 9 frames with 1 VM"):
         simulate(sc, sampler=pinned(1.0))
+
+
+def test_runs_sharing_a_trace_must_step_in_lockstep():
+    sc = small_scenario(policy="DVFS", n_hosts=2, vm_mips=(250.0, 500.0))
+    trace = WorkloadTrace()
+    ahead, behind = (initial_placement(sc, trace=trace) for _ in range(2))
+    step(ahead, sc)
+    step(behind, sc)
+    step(ahead, sc)
+    step(ahead, sc)
+    with pytest.raises(RuntimeError, match="run at frame 1 shares a workload trace at frame 2"):
+        step(behind, sc)
 
 
 def test_simulation_is_deterministic():
