@@ -1,12 +1,13 @@
 """Frame-driven simulation loop.
 
-Each frame goes once over the hosts in fleet order.  For each host it
-samples its VMs' utilization in resident order, shares the host's MIPS
-proportionally, charges the frame's energy, records SLA measurements and
-advances each VM's work (finished VMs leave the fleet).  Then the policy
-is invoked, its migration plan applied and host power states adjusted.
-SLA and energy are therefore charged against the placement in force
-during the frame, and the policy reacts to the loads it just observed.
+Each frame goes once over the hosts in fleet order.  For each host with
+VMs it samples their utilization in resident order, shares the host's
+MIPS proportionally, charges the frame's energy, records SLA measurements
+and advances each VM's work (finished VMs leave the fleet); an empty host
+is only charged its constant draw.  Then the policy is invoked, its
+migration plan applied and host power states adjusted.  SLA and energy
+are therefore charged against the placement in force during the frame,
+and the policy reacts to the loads it just observed.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, RunMetrics,
                     Scenario, VmState)
-from .power import accumulate, host_power
+from .power import accumulate, host_power, power
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 from . import policies
 from .workload import DEFAULT_UTIL_STEP, SeededRng, walk_utilization
@@ -126,6 +127,11 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     ``sampler`` overrides utilization sampling for tests: a callable
     (vm_id, frame_index) -> fraction in [0, 1], called host by host in
     fleet order and, on each host, in resident order; it bypasses the trace.
+
+    A host with no residents is charged its constant draw (peak under NPA,
+    idle when on, nothing when off) in its place in fleet order, without
+    sharing or a power call, so ``energy_wh`` keeps the bits of charging
+    it through ``host_power`` and ``accumulate``.
     """
     dt = scenario.frame_seconds
     frame = state.frame_index
@@ -143,6 +149,15 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     shortfall_sum = 0.0
     frame_wh_before = total_wh = state.energy_wh
     for host in state.hosts:
+        # an empty host draws a constant: peak under NPA, idle when on and
+        # nothing when off.  It is added here, in fleet order, as ``accumulate``
+        # would add it, so the float sum keeps its order and its bits.
+        if not host.resident_vms:
+            if npa or host.powered_on:
+                p = host.spec.p_max_watts if npa else power(host.spec, 0.0)
+                total_wh += p * dt / 3600.0
+            continue
+
         # 1. sample utilization: a reflected random walk over keyed uniform
         # draws, so the trace for (seed, vm, frame) is policy-independent
         demands = {}

@@ -25,9 +25,18 @@ def _mix64(z: int) -> int:
 
 
 def _mix_key(mixed_seed: int, *keys: int) -> int:
-    h = mixed_seed  # _mix64(seed)
+    """Fold each key into ``mixed_seed`` (64 bits, as ``_mix64`` returns).
+
+    The same chain as ``h = _mix64(h ^ ((k * _GOLDEN) & _MASK64))`` per key,
+    with the finalizer inline; ``h`` is already 64 bits, so its mask is not
+    needed.
+    """
+    h = mixed_seed
     for k in keys:
-        h = _mix64(h ^ ((k * _GOLDEN) & _MASK64))
+        z = h ^ ((k * _GOLDEN) & _MASK64)
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h = z ^ (z >> 31)
     return h
 
 
@@ -43,6 +52,8 @@ class SeededRng:
         self.seed = seed & _MASK64
         self._mixed_seed = _mix64(self.seed)
         self._counter = 0
+        # first key -> _mix_key(mixed seed, first key); one entry per VM in a run
+        self._first_mix = {}
 
     def next_u64(self) -> int:
         self._counter += 1
@@ -57,8 +68,19 @@ class SeededRng:
         return int(self.next_u01() * n)
 
     def keyed_u01(self, *keys: int) -> float:
-        """Uniform draw determined purely by (seed, keys); not streamed."""
-        return _to_unit(_mix_key(self._mixed_seed, *keys))
+        """Uniform draw determined purely by (seed, keys); not streamed.
+
+        The mix of the first key (a VM's id, in the engine) is computed once
+        per generator and kept, so each later call mixes only the remaining
+        keys; the draw is the same as mixing every key afresh.
+        """
+        if not keys:
+            return _to_unit(self._mixed_seed)
+        first = keys[0]
+        h = self._first_mix.get(first)
+        if h is None:
+            h = self._first_mix[first] = _mix_key(self._mixed_seed, first)
+        return _to_unit(_mix_key(h, *keys[1:]))
 
 
 def utilization_at(seed: int, vm_id: int, frame_index: int) -> float:

@@ -318,13 +318,28 @@ def test_unwritable_out_path_exits_1(tmp_path, capsys, where):
     assert captured.out == ""
 
 
-def run_child(*args):
-    """Run the command line in a child process, so a hang fails by timeout."""
+def run_child(*args, text=True, **env):
+    """Run the command line in a child process, so a hang fails by timeout.
+
+    ``env`` adds environment variables; ``text=False`` keeps the output bytes.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env)
     return subprocess.run([sys.executable, "-m", "dcsim.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=text, env=env, timeout=60)
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed():
+    # set and string-hash order changes with PYTHONHASHSEED; a report that
+    # followed it would differ from one interpreter to the next
+    args = ("--policy", "DVFS", "--policy", "ST", "--policy", "RC", "--lower", "30",
+            "--upper", "70", "--hosts", "12", "--vms", "36", "--runs", "2")
+    first, second = (run_child(*args, text=False, PYTHONHASHSEED=seed)
+                     for seed in ("0", "12345"))
+    assert (first.returncode, second.returncode) == (0, 0)
+    assert first.stdout.count(b"\r\n") == 4
+    assert first.stdout == second.stdout
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -206,6 +206,55 @@ def test_oversubscribed_host_draws_exactly_peak_power():
     assert metrics.energy_wh == power(spec, 1.0) * 60.0 / 3600.0
 
 
+def two_odd_hosts(policy, work_mi, second_on):
+    """One VM of 250.1 MIPS on host 0 and an empty host 1, both 247.3 W with idle 0.61."""
+    specs = tuple(HostSpec(id=i, mips_capacity=1000.0, ram_mb=8192.0, storage_gb=1024.0,
+                           p_max_watts=247.3, idle_fraction=0.61) for i in range(2))
+    vm_spec = VmSpec(id=0, requested_mips=250.1, ram_mb=128.0, storage_gb=1.0,
+                     total_work_mi=work_mi)
+    vm = VmState(spec=vm_spec, host_id=0, remaining_work_mi=work_mi)
+    hosts = [HostState(spec=specs[0], resident_vms=[0]),
+             HostState(spec=specs[1], powered_on=second_on)]
+    sc = Scenario(hosts=specs, vms=(vm_spec,), policy=PolicyConfig(policy),
+                  frame_seconds=60.0)
+    return SimulationState(frame_index=0, hosts=hosts, vms=[vm], rng=SeededRng(1),
+                           active={0: vm}, energy_wh=0.1), sc
+
+
+def test_empty_dvfs_hosts_draw_idle_when_on_and_nothing_when_off():
+    # host 0's only VM finishes in frame 0; host 1 is off throughout
+    state, sc = two_odd_hosts("DVFS", 15000.0, second_on=False)
+    step(state, sc, sampler=pinned(1.0))
+    assert not state.active and state.hosts[0].powered_on
+    before = state.energy_wh
+    step(state, sc, sampler=pinned(1.0))
+    assert state.energy_wh == before + power(sc.hosts[0], 0.0) * 60.0 / 3600.0
+    assert state.frames[-1].energy_wh == state.energy_wh - before
+
+
+def test_empty_npa_host_draws_peak_power():
+    state, sc = two_odd_hosts("NPA", 150000.0, second_on=True)
+    step(state, sc, sampler=pinned(0.5))
+    assert state.energy_wh == 0.1 + 247.3 * 60.0 / 3600.0 + 247.3 * 60.0 / 3600.0
+
+
+def test_empty_hosts_are_neither_shared_nor_powered(monkeypatch):
+    seen = []
+    for name in ("share_mips", "host_power", "accumulate"):
+        original = getattr(engine, name)
+
+        def spy(*args, original=original, name=name):
+            seen.append(name)
+            return original(*args)
+        monkeypatch.setattr(engine, name, spy)
+    # one VM on host 0; hosts 1 to 3 are empty, and host 1 is on
+    sc = small_scenario(policy="DVFS", n_hosts=4, vm_mips=(250.0,))
+    state = initial_placement(sc)
+    state.hosts[1].powered_on = True
+    step(state, sc, sampler=pinned(1.0))
+    assert seen == ["share_mips", "host_power", "accumulate"]
+
+
 def test_frame_that_advances_no_work_stops_the_run():
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
     with pytest.raises(StalledRunError, match="frame 0 advanced no VM's remaining work"):

@@ -28,7 +28,7 @@ import pytest
 
 from dcsim.cli import ExperimentSpec, emit_report, main, run_experiment
 from dcsim.engine import simulate
-from dcsim.model import HostSpec, PolicyConfig, Scenario, VmSpec
+from dcsim.model import HostSpec, PolicyConfig, RunMetrics, Scenario, VmSpec
 from dcsim.workload import SeededRng, child_rng
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,6 +76,39 @@ MIXED_ROWS = ([PolicyConfig("NPA"), PolicyConfig("DVFS"), PolicyConfig("ST", upp
 def test_mixed_fleet_report_matches_golden_bytes():
     report = run_experiment(ExperimentSpec(scenario=_mixed_fleet(), policies=MIXED_ROWS))
     assert emit_report(report) == (GOLDEN / "mixed_fleet_runs3_seed42.csv").read_bytes()
+
+
+# Each kind's run of the mixed fleet at seed 42, recorded before empty hosts
+# were charged without ``share_mips`` and ``host_power``: the goldens round
+# to six places, so only the exact sum can show a change in its last bit.
+MIXED_EXACT = {
+    "NPA": ("0x1.dddae147ae138p+10", RunMetrics(
+        energy_kwh=1.9114199999999963, sla_violation_pct=0.0, migration_count=0,
+        avg_sla_pct=0.0, sim_duration_s=2460.0)),
+    "DVFS": ("0x1.3d5d639ab1bedp+10", RunMetrics(
+        energy_kwh=1.2694592043624682, sla_violation_pct=0.0, migration_count=0,
+        avg_sla_pct=0.0, sim_duration_s=2460.0)),
+    "ST": ("0x1.debdb7464e7f6p+7", RunMetrics(
+        energy_kwh=0.2393705388995001, sla_violation_pct=0.0, migration_count=375,
+        avg_sla_pct=0.0, sim_duration_s=2460.0)),
+    "MM": ("0x1.c1e5ebc11ba65p+7", RunMetrics(
+        energy_kwh=0.2249490642877819, sla_violation_pct=1.6348773841961852,
+        migration_count=40, avg_sla_pct=4.274989328917844, sim_duration_s=2460.0)),
+    "HPG": ("0x1.e559ee1a96484p+7", RunMetrics(
+        energy_kwh=0.24267564471325398, sla_violation_pct=0.8181818181818182,
+        migration_count=73, avg_sla_pct=7.083575629287187, sim_duration_s=2460.0)),
+    "RC": ("0x1.b6770fe55dae4p+7", RunMetrics(
+        energy_kwh=0.21923254315155566, sla_violation_pct=1.2727272727272727,
+        migration_count=47, avg_sla_pct=2.7779113393983756, sim_duration_s=2460.0)),
+}
+
+
+@pytest.mark.parametrize("row", MIXED_ROWS, ids=[row.kind for row in MIXED_ROWS])
+def test_mixed_fleet_energy_keeps_its_bits(row):
+    state, metrics = simulate(replace(_mixed_fleet(), policy=row))
+    energy_hex, expected = MIXED_EXACT[row.kind]
+    assert state.energy_wh.hex() == energy_hex
+    assert metrics == expected
 
 
 def test_rows_sharing_a_trace_equal_independent_runs():

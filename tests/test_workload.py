@@ -65,6 +65,47 @@ def test_keyed_draw_matches_pure_function():
     assert rng.keyed_u01(4, 9) == utilization_at(31, 4, 9)
 
 
+_M64 = (1 << 64) - 1
+
+
+def _chain(seed, *keys):
+    """The keyed word spelled out: splitmix64's finalizer over seed, then each key."""
+    def mix(z):
+        z &= _M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return z ^ (z >> 31)
+    h = mix(seed)
+    for k in keys:
+        h = mix(h ^ ((k * 0x9E3779B97F4A7C15) & _M64))
+    return h
+
+
+def _unit(word):
+    return (word >> 11) * 2.0 ** -53
+
+
+_ids = st.one_of(st.integers(-1000, 1000), st.integers(-2 ** 70, 2 ** 70),
+                 st.integers(2 ** 64, 2 ** 66))
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.lists(_ids, max_size=3), st.lists(_ids, max_size=5))
+def test_keyed_draw_equals_the_mix_chain_cached_or_not(seed, keys, earlier):
+    expected = _unit(_chain(seed, *keys))
+    assert SeededRng(seed).keyed_u01(*keys) == expected
+    rng = SeededRng(seed)
+    for first in earlier:  # fill the cache with other (and maybe the same) first keys
+        rng.keyed_u01(first, 7)
+    assert rng.keyed_u01(*keys) == expected
+    assert rng.keyed_u01(*keys) == expected
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), _ids, _ids, st.integers(0, 2 ** 66))
+def test_pure_draws_equal_the_mix_chain(seed, vm, frame, run_index):
+    assert utilization_at(seed, vm, frame) == _unit(_chain(seed, vm, frame))
+    assert child_rng(seed, run_index).seed == _chain(seed, run_index)
+
+
 def test_child_rng_independent_streams():
     children = [child_rng(42, i) for i in range(10)]
     seeds = {c.seed for c in children}
