@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, RunMetrics,
-                    Scenario, VmState)
+                    Scenario, VmState, add_up)
 from .power import accumulate, host_power, power
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 from . import policies
@@ -107,11 +107,16 @@ def initial_placement(scenario: Scenario, seed=None, trace=None) -> SimulationSt
 
 
 def share_mips(host: HostState, demands) -> dict:
-    """Allocate host capacity to demands, scaling proportionally on overload."""
+    """Allocate host capacity to demands, scaling proportionally on overload.
+
+    The demands are summed left to right (``model.add_up``).  When they fit,
+    ``demands`` itself is returned, not a copy; otherwise a new dict in the
+    same order.
+    """
     capacity = host.spec.mips_capacity
-    total = sum(demands.values())
+    total = add_up(demands.values())
     if total <= capacity:
-        return dict(demands)
+        return demands
     scale = capacity / total
     return {vm_id: d * scale for vm_id, d in demands.items()}
 
@@ -143,6 +148,8 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
                                % (frame, trace.frame))
         trace.frame, trace.previous, trace.current = frame, trace.current, {}
     current, previous = trace.current, trace.previous
+    keyed_u01 = state.rng.keyed_u01
+    state_of = active.__getitem__
     npa = scenario.policy.kind == "NPA"
     measurements = len(active)
     violations = 0
@@ -160,15 +167,15 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
 
         # 1. sample utilization: a reflected random walk over keyed uniform
         # draws, so the trace for (seed, vm, frame) is policy-independent
+        residents = list(map(state_of, host.resident_vms))
         demands = {}
-        for vm_id in host.resident_vms:
-            vm = active[vm_id]
+        for vm_id, vm in zip(host.resident_vms, residents):
             if sampler is not None:
                 u = sampler(vm_id, frame)
             else:
                 u = current.get(vm_id)
                 if u is None:
-                    draw = state.rng.keyed_u01(vm_id, frame)
+                    draw = keyed_u01(vm_id, frame)
                     u = current[vm_id] = draw if frame == 0 else walk_utilization(
                         previous[vm_id], draw, DEFAULT_UTIL_STEP)
             demands[vm_id] = vm.demand_mips = u * vm.spec.requested_mips
@@ -179,16 +186,20 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
         p = host.spec.p_max_watts if npa else host_power(host, demands)
         total_wh = accumulate(total_wh, p, dt)
 
-        # 3. SLA accounting and work; ``alloc`` is a fresh dict, so finished
-        # VMs can leave the host for good while it is read
-        for vm_id, a in alloc.items():
-            d = demands[vm_id]
+        # 3. SLA accounting and work, in resident order; ``residents`` is a
+        # list of its own, so finished VMs can leave the host while it is read.
+        # A VM whose share covers its remaining work finishes with exactly 0.0
+        # left; any other keeps ``left - work``, which is above zero.
+        for vm, d, a in zip(residents, demands.values(), alloc.values()):
             if a < d:
                 violations += 1
                 shortfall_sum += (d - a) / d
-            vm = active[vm_id]
-            vm.remaining_work_mi -= min(a * dt, vm.remaining_work_mi)
-            if vm.remaining_work_mi <= 0.0:
+            work, left = a * dt, vm.remaining_work_mi
+            if work < left:
+                vm.remaining_work_mi = left - work
+            else:
+                vm.remaining_work_mi = 0.0
+                vm_id = vm.spec.id
                 host.resident_vms.remove(vm_id)
                 vm.host_id = None
                 vm.demand_mips = 0.0

@@ -19,6 +19,19 @@ HOST_MIPS_CLASSES = (1000.0, 2000.0, 3000.0)
 VM_MIPS_CLASSES = (250.0, 500.0, 750.0, 1000.0)
 
 
+def add_up(values) -> float:
+    """Sum floats left to right, rounding after each term.
+
+    This is what ``sum()`` gives on CPython 3.10 and 3.11.  From 3.12
+    ``sum()`` of floats is compensated, so its last bits, and the threshold
+    tests and ties that read them, would differ by interpreter.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def check_power_curve(p_max_watts, idle_fraction):
     """Raise ValueError unless (P_max, k) define a valid linear power curve."""
     if p_max_watts <= 0:

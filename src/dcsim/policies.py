@@ -12,6 +12,8 @@ picked from an overloaded host:
     RC  - uniformly random VMs until the host is under the threshold
 """
 
+import math
+
 from .model import STATIC_KINDS, HostState, MigrationPlan, PolicyConfig
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 
@@ -20,11 +22,17 @@ def underloaded_hosts(hosts, view, lower_threshold: float) -> list:
     """Ids of powered-on, non-empty hosts strictly below the lower threshold, emptiest first.
 
     A host's load is the CPU demand of its snapshot in ``view``, which is
-    indexed by host id: ``view[h.spec.id]``.
+    indexed by host id (``view[h.spec.id]``) and holds at least the
+    powered-on hosts.
     """
     loads = sorted((view[h.spec.id].cpu_demand_mips / h.spec.mips_capacity, h.spec.id)
                    for h in hosts if h.powered_on and h.resident_vms)
     return [hid for u, hid in loads if u < lower_threshold]
+
+
+def _over(demands, limit) -> float:
+    """``sum(demands) - limit``, correctly rounded, so its sign is exact in any order."""
+    return math.fsum([*demands, -limit])
 
 
 def select_vms_mm(host: HostState, vms, upper_threshold: float) -> list:
@@ -33,59 +41,61 @@ def select_vms_mm(host: HostState, vms, upper_threshold: float) -> list:
     Repeatedly take the smallest resident whose demand strictly exceeds
     the remaining excess, or the largest resident if none does.  The
     loop invariant (one VM per step, finishing as soon as a single VM
-    can cover the excess) makes the selection minimal in count.
+    can cover the excess) makes the selection minimal in count.  The
+    excess is recomputed exactly from the residents left at each step.
     """
-    cap = host.spec.mips_capacity
+    limit = upper_threshold * host.spec.mips_capacity
     working = sorted(((vms[v].demand_mips, v) for v in host.resident_vms),
                      key=lambda t: (t[0], t[1]))
-    excess = sum(d for d, _ in working) - upper_threshold * cap
     picked = []
-    while excess > 0 and working:
+    while working:
+        excess = _over((d for d, _ in working), limit)
+        if excess <= 0:
+            break
         over = [t for t in working if t[0] > excess]
         if over:
             choice = min(over, key=lambda t: (t[0], t[1]))
         else:
             choice = max(working, key=lambda t: (t[0], -t[1]))
         working.remove(choice)
-        excess -= choice[0]
         picked.append(choice[1])
     return picked
 
 
 def select_vms_hpg(host: HostState, vms, upper_threshold: float) -> list:
     """Select VMs with the lowest demand/requested ratio until u <= upper."""
-    cap = host.spec.mips_capacity
+    limit = upper_threshold * host.spec.mips_capacity
     order = sorted(host.resident_vms,
                    key=lambda v: (vms[v].demand_mips / vms[v].spec.requested_mips, v))
-    excess = sum(vms[v].demand_mips for v in host.resident_vms) - upper_threshold * cap
+    demands = [vms[v].demand_mips for v in order]
     picked = []
-    for v in order:
-        if excess <= 0:
+    for i, v in enumerate(order):
+        if _over(demands[i:], limit) <= 0:
             break
         picked.append(v)
-        excess -= vms[v].demand_mips
     return picked
 
 
 def select_vms_rc(host: HostState, vms, upper_threshold: float, rng) -> list:
     """Select uniformly random VMs without replacement until u <= upper."""
-    cap = host.spec.mips_capacity
+    limit = upper_threshold * host.spec.mips_capacity
     working = sorted(host.resident_vms)
-    excess = sum(vms[v].demand_mips for v in working) - upper_threshold * cap
     picked = []
-    while excess > 0 and working:
-        v = working.pop(rng.randbelow(len(working)))
-        excess -= vms[v].demand_mips
-        picked.append(v)
+    while working and _over((vms[v].demand_mips for v in working), limit) > 0:
+        picked.append(working.pop(rng.randbelow(len(working))))
     return picked
 
 
 def _snapshot(host: HostState, resident, vms) -> HostSnapshot:
-    return HostSnapshot.from_state(
-        host,
-        cpu_demand_mips=sum(vms[v].demand_mips for v in resident),
-        ram_used_mb=sum(vms[v].spec.ram_mb for v in resident),
-        storage_used_gb=sum(vms[v].spec.storage_gb for v in resident))
+    # three sums in one pass, each left to right in resident order, as
+    # ``model.add_up`` would give them
+    cpu = ram = storage = 0.0
+    for v in resident:
+        vm = vms[v]
+        cpu += vm.demand_mips
+        ram += vm.spec.ram_mb
+        storage += vm.spec.storage_gb
+    return HostSnapshot.from_state(host, cpu, ram, storage)
 
 
 def _request(vm_ids, vms) -> list:
@@ -133,25 +143,28 @@ def _commit(view, plan, vms, moves):
 
 
 def _reallocate_two_threshold(config, hosts, vms, rng):
-    # The pass's load view, indexed by host id: each host's residents summed
-    # once, in resident order.  Every decision below reads it, and each
-    # committed placement updates it in place.
-    view = [_snapshot(h, h.resident_vms, vms) for h in hosts]
+    # The pass's load view, host id -> snapshot in fleet order, of the
+    # powered-on hosts only: each host's residents summed once, in resident
+    # order.  An off host carries no load, so it is never over or under a
+    # threshold, and no placement below may power it on.  Every decision
+    # below reads the view, and each committed placement updates it in place.
+    view = {h.spec.id: _snapshot(h, h.resident_vms, vms) for h in hosts if h.powered_on}
     under = underloaded_hosts(hosts, view, config.lower_threshold)
     select = {"MM": select_vms_mm, "HPG": select_vms_hpg,
               "RC": lambda h, vms, upper: select_vms_rc(h, vms, upper, rng)}[config.kind]
     over_selected = []
-    # an off or empty host carries no load, so it is never over the threshold
-    for h, s in zip(hosts, view):
+    # an empty host carries no load, so it is never over the threshold
+    for hid, s in view.items():
         if s.cpu_demand_mips / s.mips_capacity > config.upper_threshold:
+            h = hosts[hid]
             picked = select(h, vms, config.upper_threshold)
             # the host as relief sees it: its picks are leaving
-            view[h.spec.id] = _snapshot(h, [v for v in h.resident_vms if v not in picked], vms)
+            view[hid] = _snapshot(h, [v for v in h.resident_vms if v not in picked], vms)
             over_selected += picked
     moves = {}
 
     def place(vm_ids, excluded=frozenset()):
-        return mbfd(PlacementRequest(vms=_request(vm_ids, vms), hosts=view,
+        return mbfd(PlacementRequest(vms=_request(vm_ids, vms), hosts=list(view.values()),
                                      upper_threshold=config.upper_threshold,
                                      allow_power_on=False, excluded_hosts=excluded))
 

@@ -9,7 +9,7 @@ Energy is the rectangle-rule integral of P over time; utilization is
 piecewise-constant per frame, so the rule is exact.
 """
 
-from .model import HostState
+from .model import HostState, add_up
 
 
 def power(spec, u: float) -> float:
@@ -36,12 +36,13 @@ def accumulate(total_wh: float, p_watts: float, dt_seconds: float) -> float:
 def host_power(host: HostState, demands) -> float:
     """Power draw of ``host`` given per-VM CPU demands (vm id -> MIPS).
 
-    The load is the sum of the demands given, one per resident VM.  A
-    powered-off host draws nothing; an oversubscribed one is clamped to
-    100% utilization, as a CPU cannot be more than fully busy.
+    The load is the sum of the demands given, one per resident VM, added
+    left to right (``model.add_up``).  A powered-off host draws nothing; an
+    oversubscribed one is clamped to 100% utilization, as a CPU cannot be
+    more than fully busy.
     """
     if not host.powered_on:
         return 0.0
-    total = sum(demands.values())
+    total = add_up(demands.values())
     u = min(1.0, total / host.spec.mips_capacity)
     return power(host.spec, u)

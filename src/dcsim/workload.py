@@ -72,7 +72,10 @@ class SeededRng:
 
         The mix of the first key (a VM's id, in the engine) is computed once
         per generator and kept, so each later call mixes only the remaining
-        keys; the draw is the same as mixing every key afresh.
+        keys; the draw is the same as mixing every key afresh.  The remaining
+        keys are folded here, as ``_mix_key`` folds them, and the word made a
+        unit float as ``_to_unit`` makes it, since this is the frame loop's
+        most frequent call.
         """
         if not keys:
             return _to_unit(self._mixed_seed)
@@ -80,7 +83,12 @@ class SeededRng:
         h = self._first_mix.get(first)
         if h is None:
             h = self._first_mix[first] = _mix_key(self._mixed_seed, first)
-        return _to_unit(_mix_key(h, *keys[1:]))
+        for k in keys[1:]:
+            z = h ^ ((k * _GOLDEN) & _MASK64)
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            h = z ^ (z >> 31)
+        return (h >> 11) * (2.0 ** -53)
 
 
 def utilization_at(seed: int, vm_id: int, frame_index: int) -> float:

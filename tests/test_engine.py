@@ -38,7 +38,10 @@ def host_1000():
 
 
 def test_share_mips_no_scaling_under_capacity():
-    assert share_mips(host_1000(), {1: 300.0, 2: 400.0}) == {1: 300.0, 2: 400.0}
+    demands = {1: 300.0, 2: 400.0}
+    alloc = share_mips(host_1000(), demands)
+    assert alloc == {1: 300.0, 2: 400.0}
+    assert alloc is demands  # nothing is scaled, so nothing is copied
 
 
 def test_share_mips_scales_proportionally_on_overload():
@@ -136,6 +139,23 @@ def test_completed_vms_leave_their_hosts():
     assert state.vms[0].host_id is None
     assert state.vms[0].demand_mips == 0.0
     assert all(not h.resident_vms for h in state.hosts)
+
+
+@pytest.mark.parametrize("left,finished", [
+        (15000.0, True),  # the frame's share, 250 MIPS x 60 s, is exactly the work left
+        (math.nextafter(15000.0, math.inf), False)])  # the share is one ulp short of it
+def test_a_vm_finishes_when_its_share_covers_its_work(left, finished):
+    sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,), frame=60.0)
+    state = initial_placement(sc)
+    vm = state.vms[0]
+    vm.remaining_work_mi = left
+    step(state, sc, sampler=pinned(1.0))
+    if finished:
+        assert vm.remaining_work_mi == 0.0 and math.copysign(1.0, vm.remaining_work_mi) == 1.0
+        assert vm.host_id is None and not state.active and not state.hosts[0].resident_vms
+    else:
+        assert vm.remaining_work_mi == left - 15000.0 > 0.0
+        assert state.active == {0: vm} and state.hosts[0].resident_vms == [0]
 
 
 def assert_consistent(state):

@@ -5,7 +5,7 @@ import pytest
 from dcsim.model import (HOST_MIPS_CLASSES, VM_MIPS_CLASSES, FrameMetrics,
                          HostSpec, HostState, MigrationPlan, PlacementPlan,
                          PolicyConfig, RunMetrics, Scenario, VmSpec, VmState,
-                         default_paper_scenario)
+                         add_up, default_paper_scenario)
 
 
 def host_spec(**kw):
@@ -37,6 +37,13 @@ def test_host_spec_validation(field, value):
 def test_vm_spec_validation(field, value):
     with pytest.raises(ValueError):
         vm_spec(**{field: value})
+
+
+def test_add_up_rounds_after_each_term_left_to_right():
+    # a compensated or exact sum gives 2.0; rounding after each term loses both 1.0s
+    assert add_up([1e16, 1.0, 1.0, -1e16]) == 0.0
+    assert add_up([1e16, -1e16, 1.0, 1.0]) == 2.0
+    assert add_up(iter([])) == 0.0 and isinstance(add_up([]), float)
 
 
 def test_host_state_off_host_cannot_hold_vms():
