@@ -184,8 +184,9 @@ def run_experiment(spec: ExperimentSpec) -> Report:
 
     The run index is the outer loop.  Run ``i`` of every row is placed under
     ``child_rng(seed, i)``, in row order, and the rows then run in lockstep
-    on one shared workload trace, so the results equal independent
-    ``simulate`` calls under the same seeds.
+    on one shared workload trace; the static rows (NPA, DVFS), placed alike,
+    share one frame pass and each keep their own energy.  The results equal
+    independent ``simulate`` calls under the same seeds.
     """
     base = spec.scenario
     rows = [ReportRow(policy=p, runs=[]) for p in spec.policies]

@@ -1,17 +1,19 @@
 """Frame-driven simulation loop.
 
 Each frame goes once over the hosts in fleet order.  For each host with
-VMs it samples their utilization in resident order, shares the host's
-MIPS proportionally, charges the frame's energy, records SLA measurements
-and advances each VM's work (finished VMs leave the fleet); an empty host
-is only charged its constant draw.  Then the policy is invoked, its
-migration plan applied and host power states adjusted.  SLA and energy
+VMs it samples their utilization in resident order, sums the demands once,
+shares the host's MIPS proportionally, records SLA measurements and
+advances each VM's work (finished VMs leave the fleet).  Then the frame's
+energy is charged host by host from those loads, the policy is invoked,
+its migration plan applied and host power states adjusted.  SLA and energy
 are therefore charged against the placement in force during the frame,
-and the policy reacts to the loads it just observed.
+and the policy reacts to the loads it just observed.  Static runs (NPA,
+DVFS) placed alike on one workload trace share that pass, each charged on
+its own meter.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, RunMetrics,
                     Scenario, VmState, add_up)
@@ -106,22 +108,42 @@ def initial_placement(scenario: Scenario, seed=None, trace=None) -> SimulationSt
                            trace=WorkloadTrace() if trace is None else trace)
 
 
-def share_mips(host: HostState, demands) -> dict:
+def share_mips(host: HostState, demands, load: float) -> dict:
     """Allocate host capacity to demands, scaling proportionally on overload.
 
-    The demands are summed left to right (``model.add_up``).  When they fit,
-    ``demands`` itself is returned, not a copy; otherwise a new dict in the
-    same order.
+    ``load`` is the sum of the demands; the engine adds them left to right
+    (``model.add_up``).  When it fits, ``demands`` itself is returned, not a
+    copy; otherwise a new dict in the same order.
     """
     capacity = host.spec.mips_capacity
-    total = add_up(demands.values())
-    if total <= capacity:
+    if load <= capacity:
         return demands
-    scale = capacity / total
+    scale = capacity / load
     return {vm_id: d * scale for vm_id, d in demands.items()}
 
 
-def step(state: SimulationState, scenario: Scenario, sampler=None):
+def _charge(total_wh, hosts, loads, npa, dt):
+    """Return ``total_wh`` plus the fleet's energy for one frame of ``dt`` s.
+
+    ``loads`` holds each host's CPU load in MIPS, in fleet order, or None for
+    a host with no residents.  Each host's draw is added in fleet order: its
+    peak under NPA, whatever its load; otherwise ``host_power`` at its load,
+    and for an empty host its constant draw, idle when on and nothing when
+    off, without a power call.  The empty host's term is added as
+    ``accumulate`` would add it, so the float sum keeps its order and bits.
+    """
+    for host, load in zip(hosts, loads):
+        if load is None:
+            if npa or host.powered_on:
+                p = host.spec.p_max_watts if npa else power(host.spec, 0.0)
+                total_wh += p * dt / 3600.0
+        else:
+            p = host.spec.p_max_watts if npa else host_power(host, load)
+            total_wh = accumulate(total_wh, p, dt)
+    return total_wh
+
+
+def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
     """Advance the simulation by one frame; returns the frame's metrics.
 
     A VM's utilization at frame ``f`` is read from ``state.trace`` when a
@@ -133,11 +155,19 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     (vm_id, frame_index) -> fraction in [0, 1], called host by host in
     fleet order and, on each host, in resident order; it bypasses the trace.
 
-    A host with no residents is charged its constant draw (peak under NPA,
-    idle when on, nothing when off) in its place in fleet order, without
-    sharing or a power call, so ``energy_wh`` keeps the bits of charging
-    it through ``host_power`` and ``accumulate``.
+    Each host with VMs has its demands summed once, left to right; that
+    load goes to ``share_mips`` and to the energy charge.  A host with
+    no residents is neither shared nor given a power call.
+
+    ``sharing`` lists static (state, scenario) runs that hold this run's
+    VM states and host resident lists, as ``run_lockstep`` arranges; this
+    run must be static too.  The one pass steps them all.  Each keeps its
+    own hosts' power states, energy meter and FrameMetrics, and its own
+    frame index, which advances with this run's.
     """
+    runs = [(state, scenario), *sharing]
+    if sharing and any(sc.policy.kind not in STATIC_KINDS for _, sc in runs):
+        raise ValueError("only static runs can share a frame pass")
     dt = scenario.frame_seconds
     frame = state.frame_index
     active = state.active
@@ -150,19 +180,13 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
     current, previous = trace.current, trace.previous
     keyed_u01 = state.rng.keyed_u01
     state_of = active.__getitem__
-    npa = scenario.policy.kind == "NPA"
     measurements = len(active)
     violations = 0
     shortfall_sum = 0.0
-    frame_wh_before = total_wh = state.energy_wh
+    loads = []  # each host's load in MIPS, or None when it has no residents
     for host in state.hosts:
-        # an empty host draws a constant: peak under NPA, idle when on and
-        # nothing when off.  It is added here, in fleet order, as ``accumulate``
-        # would add it, so the float sum keeps its order and its bits.
         if not host.resident_vms:
-            if npa or host.powered_on:
-                p = host.spec.p_max_watts if npa else power(host.spec, 0.0)
-                total_wh += p * dt / 3600.0
+            loads.append(None)
             continue
 
         # 1. sample utilization: a reflected random walk over keyed uniform
@@ -180,11 +204,12 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
                         previous[vm_id], draw, DEFAULT_UTIL_STEP)
             demands[vm_id] = vm.demand_mips = u * vm.spec.requested_mips
 
-        # 2. proportional sharing and energy, from demand so an oversubscribed
-        # host is exactly at full load; NPA draws peak power everywhere, always
-        alloc = share_mips(host, demands)
-        p = host.spec.p_max_watts if npa else host_power(host, demands)
-        total_wh = accumulate(total_wh, p, dt)
+        # 2. proportional sharing of the summed demand, which is also the load
+        # that energy is charged from, so an oversubscribed host is exactly at
+        # full load
+        load = add_up(demands.values())
+        loads.append(load)
+        alloc = share_mips(host, demands, load)
 
         # 3. SLA accounting and work, in resident order; ``residents`` is a
         # list of its own, so finished VMs can leave the host while it is read.
@@ -204,10 +229,16 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
                 vm.host_id = None
                 vm.demand_mips = 0.0
                 del active[vm_id]
-    state.energy_wh = total_wh
-    frame_wh = total_wh - frame_wh_before
 
-    # 4. policy reallocation, applied atomically
+    # 4. each run's energy, from the loads and the power states in force
+    # during the frame
+    frame_wh = []
+    for run, run_scenario in runs:
+        before = run.energy_wh
+        run.energy_wh = _charge(before, run.hosts, loads, run_scenario.policy.kind == "NPA", dt)
+        frame_wh.append(run.energy_wh - before)
+
+    # 5. policy reallocation, applied atomically
     plan = policies.reallocate(scenario.policy, state.hosts, active, state.rng)
     for v, src, dst in plan.moves:
         if src is not None:
@@ -217,18 +248,19 @@ def step(state: SimulationState, scenario: Scenario, sampler=None):
         target.resident_vms.append(v)
         active[v].host_id = dst
 
-    # 5. power management
+    # 6. power management
     if scenario.policy.kind in CONSOLIDATING:
         for host in state.hosts:
             if host.powered_on and not host.resident_vms:
                 host.powered_on = False
 
-    state.frame_index += 1
-    metrics = FrameMetrics(frame_index=frame, energy_wh=frame_wh,
-                           violation_events=violations, measurements=measurements,
-                           shortfall_sum=shortfall_sum, migrations=len(plan.moves))
-    state.frames.append(metrics)
-    return metrics
+    for (run, _), wh in zip(runs, frame_wh):
+        run.frame_index += 1
+        run.frames.append(FrameMetrics(
+            frame_index=frame, energy_wh=wh, violation_events=violations,
+            measurements=measurements, shortfall_sum=shortfall_sum,
+            migrations=len(plan.moves)))
+    return state.frames[-1]
 
 
 def simulate(scenario: Scenario, seed=None, sampler=None):
@@ -241,25 +273,63 @@ def run_lockstep(runs, sampler=None):
     """Step placed (state, scenario) runs side by side until each ends.
 
     Every run steps frame ``f`` before any steps ``f + 1``, so runs that
-    share a ``WorkloadTrace`` draw each (vm, frame) once.  Returns each
-    run's RunMetrics, in order.  Raises ``StalledRunError`` when a run
+    share a ``WorkloadTrace`` draw each (vm, frame) once.  Static runs (NPA
+    and DVFS) on one trace, whose scenarios are equal apart from the policy
+    and whose VMs stand alike, step as one: the first of them holds the VM
+    states for all, and each frame one pass samples, shares, counts SLA
+    events, advances work and retires VMs for all of them (calling
+    ``sampler``, if given, once per VM and frame), while each keeps its own
+    power states and energy.  Returns each run's RunMetrics, in order; they
+    equal those of independent runs.  Raises ``StalledRunError`` when a run
     reaches MAX_FRAMES frames or a frame advances none of its VMs' work.
     """
-    running = [(state, scenario) for state, scenario in runs if state.active]
-    while running:
-        for state, scenario in running:
+    passes = []  # (the run that holds the VM states, the runs that share its pass)
+    for run in runs:
+        if not run[0].active:
+            continue
+        for lead, sharing in passes:
+            if _alike(lead, run):
+                _share_vms(lead[0], run[0])
+                sharing.append(run)
+                break
+        else:
+            passes.append((run, []))
+    while passes:
+        for (state, scenario), sharing in passes:
             if state.frame_index == MAX_FRAMES:
                 raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
                                       "unfinished; use longer frames"
                                       % (MAX_FRAMES, len(state.active)))
             work = [vm.remaining_work_mi for vm in state.active.values()]
-            step(state, scenario, sampler=sampler)
+            step(state, scenario, sampler=sampler, sharing=sharing)
             if len(state.active) == len(work) and all(
                     vm.remaining_work_mi == w for vm, w in zip(state.active.values(), work)):
                 raise StalledRunError("frame %d advanced no VM's remaining work; the run "
                                       "cannot end" % (state.frame_index - 1))
-        running = [(state, scenario) for state, scenario in running if state.active]
+        passes = [p for p in passes if p[0][0].active]
     return [_run_metrics(state, scenario) for state, scenario in runs]
+
+
+def _alike(lead, run):
+    """True when ``run`` can share the frame pass of ``lead``.
+
+    Both must be static, on one trace and at one frame, with scenarios equal
+    apart from the policy, the same residents on each host and the same work
+    left on each VM.
+    """
+    (a, a_scenario), (b, b_scenario) = lead, run
+    return (a_scenario.policy.kind in STATIC_KINDS and b_scenario.policy.kind in STATIC_KINDS
+            and a.trace is b.trace and a.frame_index == b.frame_index
+            and replace(b_scenario, policy=a_scenario.policy) == a_scenario
+            and [h.resident_vms for h in a.hosts] == [h.resident_vms for h in b.hosts]
+            and [v.remaining_work_mi for v in a.vms] == [v.remaining_work_mi for v in b.vms])
+
+
+def _share_vms(lead, state):
+    """Point ``state`` at the VM states and resident lists of ``lead``."""
+    state.vms, state.active = lead.vms, lead.active
+    for host, lead_host in zip(state.hosts, lead.hosts):
+        host.resident_vms = lead_host.resident_vms
 
 
 def _run_metrics(state, scenario):

@@ -9,7 +9,7 @@ Energy is the rectangle-rule integral of P over time; utilization is
 piecewise-constant per frame, so the rule is exact.
 """
 
-from .model import HostState, add_up
+from .model import HostState
 
 
 def power(spec, u: float) -> float:
@@ -33,16 +33,15 @@ def accumulate(total_wh: float, p_watts: float, dt_seconds: float) -> float:
     return total_wh + p_watts * dt_seconds / 3600.0
 
 
-def host_power(host: HostState, demands) -> float:
-    """Power draw of ``host`` given per-VM CPU demands (vm id -> MIPS).
+def host_power(host: HostState, load: float) -> float:
+    """Power draw of ``host`` at a CPU ``load`` in MIPS.
 
-    The load is the sum of the demands given, one per resident VM, added
-    left to right (``model.add_up``).  A powered-off host draws nothing; an
+    The engine gives the sum of the resident VMs' demands, added left to
+    right (``model.add_up``).  A powered-off host draws nothing; an
     oversubscribed one is clamped to 100% utilization, as a CPU cannot be
     more than fully busy.
     """
     if not host.powered_on:
         return 0.0
-    total = add_up(demands.values())
-    u = min(1.0, total / host.spec.mips_capacity)
+    u = min(1.0, load / host.spec.mips_capacity)
     return power(host.spec, u)

@@ -39,13 +39,13 @@ def host_1000():
 
 def test_share_mips_no_scaling_under_capacity():
     demands = {1: 300.0, 2: 400.0}
-    alloc = share_mips(host_1000(), demands)
+    alloc = share_mips(host_1000(), demands, 700.0)
     assert alloc == {1: 300.0, 2: 400.0}
     assert alloc is demands  # nothing is scaled, so nothing is copied
 
 
 def test_share_mips_scales_proportionally_on_overload():
-    alloc = share_mips(host_1000(), {1: 600.0, 2: 900.0})
+    alloc = share_mips(host_1000(), {1: 600.0, 2: 900.0}, 1500.0)
     assert alloc[1] == pytest.approx(400.0)
     assert alloc[2] == pytest.approx(600.0)
     assert sum(alloc.values()) == pytest.approx(1000.0)
@@ -301,6 +301,16 @@ def test_runs_sharing_a_trace_must_step_in_lockstep():
     step(ahead, sc)
     with pytest.raises(RuntimeError, match="run at frame 1 shares a workload trace at frame 2"):
         step(behind, sc)
+
+
+def test_only_static_runs_share_a_frame_pass():
+    trace = WorkloadTrace()
+    mm = replace(small_scenario(), policy=PolicyConfig("MM", 0.3, 0.7))
+    dvfs = small_scenario(policy="DVFS")
+    runs = [(initial_placement(sc, trace=trace), sc) for sc in (mm, dvfs)]
+    for lead, other in (runs, runs[::-1]):
+        with pytest.raises(ValueError, match="only static runs can share a frame pass"):
+            step(*lead, sharing=[other])
 
 
 def test_simulation_is_deterministic():

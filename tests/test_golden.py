@@ -9,12 +9,15 @@ step, so it pins that refactor too.  The fourth runs a mixed fleet (hosts
 that differ in peak power, idle fraction and RAM; VMs with non-round
 MIPS, RAM and storage) through the library; it was written by the commit
 before the one that folded the engine's per-frame host and VM passes into
-one.  A change that alters results on
+one.  The fifth, the static rows on 5 s frames, was written by the commit
+before the one that made static rows on one trace share a frame pass.
+A change that alters results on
 purpose (such as the exact tie rule for placement in ROADMAP item 1)
 regenerates them with the same command lines and says so.
 
 The mixed fleet also checks that the rows of a run index, which run in
-lockstep on one shared workload trace, equal independent runs.
+lockstep on one shared workload trace, equal independent runs, and that
+static rows sharing one frame pass keep every bit of their own energy.
 ``tools/check_goldens.py`` runs the byte-comparing cases under other
 interpreters.
 """
@@ -27,7 +30,8 @@ from pathlib import Path
 import pytest
 
 from dcsim.cli import ExperimentSpec, emit_report, main, run_experiment
-from dcsim.engine import simulate
+from dcsim import engine
+from dcsim.engine import WorkloadTrace, initial_placement, run_lockstep, simulate
 from dcsim.model import HostSpec, PolicyConfig, RunMetrics, Scenario, VmSpec
 from dcsim.workload import SeededRng, child_rng
 
@@ -44,6 +48,10 @@ CASES = [
     ("sweep_mixed_runs2_hosts40_seed42.csv",
      ["--config", str(GOLDEN / "sweep_mixed.cfg"), "--runs", "2", "--hosts", "40",
       "--vms", "116", "--seed", "42"]),
+    # the static rows on 5 s frames, as the benchmark's static-fine runs them
+    ("static_fine_runs2_seed42.csv",
+     ["--policy", "NPA", "--policy", "DVFS", "--frame-seconds", "5", "--runs", "2",
+      "--seed", "42"]),
 ]
 
 
@@ -111,16 +119,82 @@ def test_mixed_fleet_energy_keeps_its_bits(row):
     assert metrics == expected
 
 
-def test_rows_sharing_a_trace_equal_independent_runs():
-    # the rows of a run index share one workload trace; RC's row also
-    # shows that its sequential draws are untouched by the sharing
-    scenario = _mixed_fleet()
-    report = run_experiment(ExperimentSpec(scenario=scenario, policies=MIXED_ROWS))
+def _assert_rows_equal_independent_runs(scenario, rows):
+    report = run_experiment(ExperimentSpec(scenario=scenario, policies=rows))
     for row in report.rows:
         independent = [simulate(replace(scenario, policy=row.policy),
                                 seed=child_rng(scenario.seed, i).seed)[1]
                        for i in range(scenario.runs)]
         assert row.runs == independent, row.policy
+
+
+def test_rows_sharing_a_trace_equal_independent_runs():
+    # the rows of a run index share one workload trace; RC's row also
+    # shows that its sequential draws are untouched by the sharing
+    _assert_rows_equal_independent_runs(_mixed_fleet(), MIXED_ROWS)
+
+
+NPA, DVFS, ST, MM, HPG, RC = MIXED_ROWS
+ROW_SETS = {
+    "interleaved": [ST, DVFS, MM, NPA, DVFS],
+    "npa-first": [NPA, MM, DVFS],
+    "one-static": [MM, NPA, RC],
+}
+
+
+@pytest.mark.parametrize("rows", ROW_SETS.values(), ids=ROW_SETS.keys())
+def test_static_rows_sharing_a_pass_equal_independent_runs(rows):
+    # two thirds of the VMs, so that DVFS keeps four hosts off and NPA none
+    scenario = replace(_mixed_fleet(), vms=_mixed_fleet().vms[:24])
+    _assert_rows_equal_independent_runs(scenario, rows)
+    # the same rows through run_lockstep, state by state
+    seed = child_rng(scenario.seed, 1).seed
+    trace = WorkloadTrace()
+    runs = [(initial_placement(sc, seed=seed, trace=trace), sc)
+            for sc in (replace(scenario, policy=row) for row in rows)]
+    for (state, sc), metrics in zip(runs, run_lockstep(runs)):
+        alone, expected = simulate(sc, seed=seed)
+        assert state.energy_wh.hex() == alone.energy_wh.hex(), sc.policy
+        assert state.frame_index == alone.frame_index
+        assert state.frames == alone.frames
+        assert metrics == expected
+        # a run that shared a pass ends with every VM finished, as its own does
+        assert not state.active and not any(h.resident_vms for h in state.hosts)
+        assert [vm.remaining_work_mi for vm in state.vms] == [0.0] * len(alone.vms)
+
+
+def test_static_runs_share_a_pass_only_when_placed_alike():
+    # frames of another length, a VM with other work left, another trace
+    scenario = _mixed_fleet()
+    trace = WorkloadTrace()
+    runs = [(initial_placement(sc, trace=trace), sc)
+            for sc in (replace(scenario, policy=DVFS), replace(scenario, policy=DVFS),
+                       replace(scenario, policy=NPA, frame_seconds=45.0))]
+    runs[1][0].vms[5].remaining_work_mi = 100000.0
+    runs.append((initial_placement(runs[0][1], seed=7), runs[0][1]))
+    alone = []
+    for state, sc in runs:
+        copy = initial_placement(sc, seed=state.rng.seed)
+        copy.vms[5].remaining_work_mi = state.vms[5].remaining_work_mi
+        alone.append((run_lockstep([(copy, sc)])[0], copy.energy_wh.hex(), copy.frames))
+    assert [(m, state.energy_wh.hex(), state.frames)
+            for (state, _), m in zip(runs, run_lockstep(runs))] == alone
+
+
+def test_static_rows_make_one_host_pass(monkeypatch):
+    calls = []
+    share_mips = engine.share_mips
+    monkeypatch.setattr(engine, "share_mips", lambda *args: calls.append(1) or share_mips(*args))
+
+    def host_passes(rows):
+        calls.clear()
+        run_experiment(ExperimentSpec(scenario=_mixed_fleet(), policies=rows))
+        return len(calls)
+
+    dvfs, mm = host_passes([DVFS]), host_passes([MM])
+    assert dvfs > 0 and mm > 0
+    assert host_passes([NPA, DVFS]) == dvfs
+    assert host_passes([DVFS, MM, NPA, DVFS]) == dvfs + mm
 
 
 def test_each_vm_frame_is_drawn_once_per_run_index(monkeypatch):

@@ -65,27 +65,27 @@ def _host(cap=1000.0, on=True, residents=()):
 
 
 def test_host_power_off_is_zero():
-    assert host_power(_host(on=False), {}) == 0.0
+    assert host_power(_host(on=False), 0.0) == 0.0
 
 
 def test_host_power_idle_when_empty():
-    assert host_power(_host(), {}) == pytest.approx(175.0)
+    assert host_power(_host(), 0.0) == pytest.approx(175.0)
 
 
 def test_host_power_sums_resident_allocations():
     host = _host(cap=1000.0, residents=[1, 2])
-    p = host_power(host, {1: 250.0, 2: 250.0})
+    p = host_power(host, 250.0 + 250.0)
     assert p == pytest.approx(power(DEFAULT_PARAMS, 0.5))
 
 
 
 def test_host_power_sums_the_demands_it_is_given():
-    # the load is the demands passed in, not a lookup of the host's residents
+    # the load is the sum passed in, not a lookup of the host's residents
     host = _host(cap=1000.0, residents=[1])
-    p = host_power(host, {1: 250.0, 2: 250.0})
+    p = host_power(host, 500.0)
     assert p == pytest.approx(power(DEFAULT_PARAMS, 0.5))
 
 def test_host_power_clamps_at_capacity():
     host = _host(cap=1000.0, residents=[1, 2])
-    p = host_power(host, {1: 900.0, 2: 900.0})
+    p = host_power(host, 1800.0)
     assert p == pytest.approx(250.0)
