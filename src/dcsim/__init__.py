@@ -10,8 +10,8 @@ from .placement import PlacementRequest, HostSnapshot, VmRequest, power_increase
 from .policies import (reallocate, select_vms_mm, select_vms_hpg, select_vms_rc,
                        underloaded_hosts)
 from .engine import (SimulationState, WorkloadTrace, InfeasibleScenarioError,
-                     StalledRunError, initial_placement, share_mips, step, simulate,
-                     run_lockstep)
+                     StalledRunError, initial_placement, place_fleet, placed_state,
+                     share_mips, step, simulate, run_lockstep)
 from .workload import SeededRng, child_rng, utilization_at
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "reallocate", "select_vms_mm", "select_vms_hpg",
     "select_vms_rc", "underloaded_hosts",
     "SimulationState", "WorkloadTrace", "InfeasibleScenarioError", "StalledRunError",
-    "initial_placement", "share_mips", "step", "simulate", "run_lockstep",
+    "initial_placement", "place_fleet", "placed_state", "share_mips", "step", "simulate",
+    "run_lockstep",
     "SeededRng", "child_rng", "utilization_at",
 ]

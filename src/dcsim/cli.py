@@ -30,7 +30,8 @@ import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 
-from .engine import InfeasibleScenarioError, WorkloadTrace, initial_placement, run_lockstep
+from .engine import (InfeasibleScenarioError, WorkloadTrace, place_fleet, placed_state,
+                     run_lockstep)
 from .model import (POLICY_KINDS, STATIC_KINDS, TWO_THRESHOLD_KINDS, PolicyConfig,
                     Scenario, default_paper_scenario)
 from .workload import child_rng
@@ -182,24 +183,26 @@ def _build_spec(scalars, policies) -> ExperimentSpec:
 def run_experiment(spec: ExperimentSpec) -> Report:
     """Execute every (policy, thresholds) row over `runs` child-seeded runs.
 
-    The run index is the outer loop.  Run ``i`` of every row is placed under
-    ``child_rng(seed, i)``, in row order, and the rows then run in lockstep
-    on one shared workload trace; the static rows (NPA, DVFS), placed alike,
-    share one frame pass and each keep their own energy.  The results equal
+    The fleet is placed once: the plan reads only the fleet, which every
+    row shares.  The run index is the outer loop.  Run ``i`` of every row
+    starts from that plan under ``child_rng(seed, i)``, on host and VM
+    states of its own, and the rows then run in lockstep on one shared
+    workload trace; the static rows (NPA, DVFS), placed alike, share one
+    frame pass and each keep their own energy.  The results equal
     independent ``simulate`` calls under the same seeds.
     """
     base = spec.scenario
     rows = [ReportRow(policy=p, runs=[]) for p in spec.policies]
     scenarios = [replace(base, policy=p) for p in spec.policies]
+    try:
+        plan = place_fleet(base)
+    except InfeasibleScenarioError as exc:
+        raise InfeasibleScenarioError("%s (policy row %s)" % (exc, spec.policies[0].kind))
     for i in range(base.runs):
         seed = child_rng(base.seed, i).seed
         trace = WorkloadTrace()
-        runs = []
-        for scenario in scenarios:
-            try:
-                runs.append((initial_placement(scenario, seed=seed, trace=trace), scenario))
-            except InfeasibleScenarioError as exc:
-                raise InfeasibleScenarioError("%s (policy row %s)" % (exc, scenario.policy.kind))
+        runs = [(placed_state(scenario, plan, seed=seed, trace=trace), scenario)
+                for scenario in scenarios]
         for row, metrics in zip(rows, run_lockstep(runs)):
             row.runs.append(metrics)
     return Report(rows=rows, scenario=base)

@@ -15,10 +15,10 @@ its own meter.
 import math
 from dataclasses import dataclass, field, replace
 
-from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, RunMetrics,
-                    Scenario, VmState, add_up)
+from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, PlacementPlan,
+                    RunMetrics, Scenario, VmState, add_up)
 from .power import accumulate, host_power, power
-from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
+from .placement import PlacementRequest, VmRequest, mbfd, stripped
 from . import policies
 from .workload import DEFAULT_UTIL_STEP, SeededRng, walk_utilization
 
@@ -72,27 +72,36 @@ class SimulationState:
     trace: WorkloadTrace = field(default_factory=WorkloadTrace)
 
 
-def initial_placement(scenario: Scenario, seed=None, trace=None) -> SimulationState:
-    """Place the fleet at requested capacity (100% utilization assumed).
+def place_fleet(scenario: Scenario) -> PlacementPlan:
+    """The fleet's placement at requested capacity (100% utilization assumed).
 
     Placement starts from an all-off fleet so the activation penalty
-    packs VMs onto as few, as power-efficient hosts as possible.  Hosts
-    that receive no VMs are powered on under NPA and stay off under
-    every other policy.
+    packs VMs onto as few, as power-efficient hosts as possible.  The plan
+    reads only the scenario's hosts and VMs, not its policy or seed, so
+    scenarios that differ in nothing else share it.  Raises
+    ``InfeasibleScenarioError`` when a VM fits on no host.
+    """
+    hosts = stripped(HostState(spec=h, powered_on=False) for h in scenario.hosts)
+    requests = [VmRequest(v.id, v.requested_mips, v.ram_mb, v.storage_gb)
+                for v in scenario.vms]
+    plan = mbfd(PlacementRequest(vms=requests, hosts=hosts, upper_threshold=1.0))
+    if plan.unplaced:
+        raise InfeasibleScenarioError(
+            "cannot place %d VM(s) at requested capacity" % len(plan.unplaced))
+    return plan
+
+
+def placed_state(scenario: Scenario, plan: PlacementPlan, seed=None,
+                 trace=None) -> SimulationState:
+    """A run's state at frame 0, its fleet placed as ``plan`` (from ``place_fleet``) says.
+
+    Hosts that receive no VMs are powered on under NPA and stay off under
+    every other policy.  Each call builds host and VM states of its own.
 
     ``trace`` is the run's ``WorkloadTrace``, by default a fresh one; runs
     under the same seed that ``run_lockstep`` steps together may share one.
     """
     hosts = [HostState(spec=h, powered_on=False) for h in scenario.hosts]
-    snapshots = [HostSnapshot.from_state(h, 0.0, 0.0, 0.0) for h in hosts]
-    requests = [VmRequest(id=v.id, demand_mips=v.requested_mips,
-                          ram_mb=v.ram_mb, storage_gb=v.storage_gb)
-                for v in scenario.vms]
-    plan = mbfd(PlacementRequest(vms=requests, hosts=snapshots, upper_threshold=1.0))
-    if plan.unplaced:
-        raise InfeasibleScenarioError(
-            "cannot place %d VM(s) at requested capacity" % len(plan.unplaced))
-
     vms = []
     for v in scenario.vms:
         hid = plan.assignments[v.id]
@@ -106,6 +115,14 @@ def initial_placement(scenario: Scenario, seed=None, trace=None) -> SimulationSt
     return SimulationState(frame_index=0, hosts=hosts, vms=vms, rng=rng,
                            active={vm.spec.id: vm for vm in vms},
                            trace=WorkloadTrace() if trace is None else trace)
+
+
+def initial_placement(scenario: Scenario, seed=None, trace=None) -> SimulationState:
+    """Place the fleet and return the run's state at frame 0.
+
+    This is ``placed_state`` of the scenario's ``place_fleet`` plan.
+    """
+    return placed_state(scenario, place_fleet(scenario), seed=seed, trace=trace)
 
 
 def share_mips(host: HostState, demands, load: float) -> dict:

@@ -7,6 +7,7 @@ power-efficient hosts falls out of the cost function.
 """
 
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -14,7 +15,7 @@ from .model import HostState, PlacementPlan, check_power_curve
 from .power import power
 
 
-@dataclass
+@dataclass(slots=True)
 class VmRequest:
     id: int
     demand_mips: float
@@ -22,7 +23,7 @@ class VmRequest:
     storage_gb: float
 
 
-@dataclass
+@dataclass(slots=True)
 class HostSnapshot:
     id: int
     mips_capacity: float
@@ -43,6 +44,23 @@ class HostSnapshot:
                    cpu_demand_mips=cpu_demand_mips,
                    ram_free_mb=host.spec.ram_mb - ram_used_mb,
                    storage_free_gb=host.spec.storage_gb - storage_used_gb)
+
+
+# A snapshot's whole state but its id: hosts equal in it get equal records
+# in ``mbfd``.
+_state = attrgetter("mips_capacity", "p_max_watts", "idle_fraction", "powered_on",
+                    "cpu_demand_mips", "ram_free_mb", "storage_free_gb")
+
+
+def stripped(hosts) -> list:
+    """Snapshots of ``hosts`` with every resident removed, in order.
+
+    Each keeps its host's power state, and has no CPU demand and all of its
+    RAM and storage free.
+    """
+    return [HostSnapshot(s.id, s.mips_capacity, s.p_max_watts, s.idle_fraction,
+                         h.powered_on, 0.0, s.ram_mb, s.storage_gb)
+            for h in hosts for s in (h.spec,)]
 
 
 @dataclass
@@ -84,41 +102,47 @@ def mbfd(req: PlacementRequest) -> PlacementPlan:
     ascending id order.  The caller's snapshots are not mutated.
 
     The increase is computed as ``P(after) - P(before)`` with the same
-    float operations as ``power_increase``.  Hosts that have not yet
-    received a VM and share every field but their id form a group; only
-    the group's lowest-id host is scanned, since an equal state gives an
-    equal increase and the lower id wins the tie.  Raises ValueError for
-    a negative VM demand or for a usable host with an invalid power
-    curve or a utilization outside [0, 1].
+    float operations as ``power_increase``.  The usable hosts are grouped
+    by their whole snapshot state (every field but the id) before anything
+    is derived from it.  Each group's state is checked and derived once,
+    into a record for its lowest-id host; the others wait in id order,
+    since an equal state gives an equal increase and the lower id wins the
+    tie.  When a group's scanned host takes a VM, the next one waiting
+    gets a record copied from the group's derived state.  So a call builds
+    one record per distinct state and one per host that receives a VM.
+    Raises ValueError for a negative VM demand or for a usable host with
+    an invalid power curve or a utilization outside [0, 1].
     """
     upper, excluded, allow_power_on = req.upper_threshold, req.excluded_hosts, req.allow_power_on
-    # Per-host records, in id order:
-    # [position, id, capacity, cpu limit, idle W, dynamic W at full load,
-    #  cpu demand, free RAM, free storage, power now (0.0 when off),
-    #  next untouched host with an identical record or None]
+    # Per-host records:
+    # [position in id order, id, capacity, cpu limit, idle W, dynamic W at
+    #  full load, cpu demand, free RAM, free storage, power now (0.0 when
+    #  off), the group's (derived state, queue of (position, id) of its hosts
+    #  still waiting) or None when none waits]
     # ``candidates`` stays sorted by position, so its strict-< scan picks
     # what a scan over every host would.
     candidates = []
-    tails = {}
+    heads = {}  # snapshot state -> the record of its group's lowest-id host
     for pos, h in enumerate(sorted(req.hosts, key=attrgetter("id"))):
         if h.id in excluded or not (h.powered_on or allow_power_on):
             continue
-        cap, p_max, k, cpu = h.mips_capacity, h.p_max_watts, h.idle_fraction, h.cpu_demand_mips
+        state = _state(h)
+        head = heads.get(state)
+        if head is not None:
+            if head[10] is None:
+                head[10] = (tuple(head[2:10]), deque())
+            head[10][1].append((pos, h.id))
+            continue
+        cap, p_max, k, on, cpu, ram, storage = state
         check_power_curve(p_max, k)
         u = min(1.0, cpu / cap)
         if not 0.0 <= u <= 1.0:
             raise ValueError("utilization must be in [0, 1]")
         idle_w, dyn_w = k * p_max, (1.0 - k) * p_max
         # x - 0.0 == x, so an off host's increase is its whole draw after
-        key = (cap, upper * cap, idle_w, dyn_w, cpu, h.ram_free_mb, h.storage_free_gb,
-               idle_w + dyn_w * u if h.powered_on else 0.0)
-        record = [pos, h.id, *key, None]
-        tail = tails.get(key)
-        if tail is None:
-            candidates.append(record)
-        else:
-            tail[10] = record
-        tails[key] = record
+        heads[state] = record = [pos, h.id, cap, upper * cap, idle_w, dyn_w, cpu, ram, storage,
+                                 idle_w + dyn_w * u if on else 0.0, None]
+        candidates.append(record)
 
     assignments = {}
     unplaced = set()
@@ -143,8 +167,10 @@ def mbfd(req: PlacementRequest) -> PlacementPlan:
         best[7] -= ram
         best[8] -= storage
         best[9] = best_p
-        if best[10] is not None:
-            # the group's next host takes over as its scanned head
-            insort(candidates, best[10])
+        group = best[10]
+        if group is not None:
+            # the group's next host takes over as its scanned one
+            derived, waiting = group
+            insort(candidates, [*waiting.popleft(), *derived, group if waiting else None])
             best[10] = None
     return PlacementPlan(assignments=assignments, unplaced=unplaced)

@@ -15,7 +15,7 @@ picked from an overloaded host:
 import math
 
 from .model import STATIC_KINDS, HostState, MigrationPlan, PolicyConfig
-from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
+from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd, stripped
 
 
 def underloaded_hosts(hosts, view, lower_threshold: float) -> list:
@@ -98,10 +98,10 @@ def _snapshot(host: HostState, resident, vms) -> HostSnapshot:
     return HostSnapshot.from_state(host, cpu, ram, storage)
 
 
-def _request(vm_ids, vms) -> list:
-    return [VmRequest(id=v, demand_mips=vms[v].demand_mips,
-                      ram_mb=vms[v].spec.ram_mb, storage_gb=vms[v].spec.storage_gb)
-            for v in vm_ids]
+def _request(vm_states) -> list:
+    """One VmRequest per (vm id, VmState) pair, in order."""
+    return [VmRequest(v, vm.demand_mips, vm.spec.ram_mb, vm.spec.storage_gb)
+            for v, vm in vm_states]
 
 
 def reallocate(config: PolicyConfig, hosts, vms, rng) -> MigrationPlan:
@@ -123,8 +123,7 @@ def _reallocate_st(config, hosts, vms):
     # Full per-frame repacking: place every active VM against the fleet
     # stripped of residents, keeping current power states so activation
     # of off hosts stays penalized.
-    snapshots = [HostSnapshot.from_state(h, 0.0, 0.0, 0.0) for h in hosts]
-    plan = mbfd(PlacementRequest(vms=_request(vms.keys(), vms), hosts=snapshots,
+    plan = mbfd(PlacementRequest(vms=_request(vms.items()), hosts=stripped(hosts),
                                  upper_threshold=config.upper_threshold))
     moves = [(v, vms[v].host_id, dst) for v, dst in plan.assignments.items()
              if dst != vms[v].host_id]
@@ -164,7 +163,8 @@ def _reallocate_two_threshold(config, hosts, vms, rng):
     moves = {}
 
     def place(vm_ids, excluded=frozenset()):
-        return mbfd(PlacementRequest(vms=_request(vm_ids, vms), hosts=list(view.values()),
+        return mbfd(PlacementRequest(vms=_request((v, vms[v]) for v in vm_ids),
+                                     hosts=list(view.values()),
                                      upper_threshold=config.upper_threshold,
                                      allow_power_on=False, excluded_hosts=excluded))
 

@@ -14,6 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 from dcsim.cli import (CSV_COLUMNS, ConfigError, DEFAULT_POLICIES, ExperimentSpec,
                        _spec_from_args, build_parser, emit_report, main, parse_config,
                        run_experiment)
+from dcsim import cli, engine
 from dcsim.engine import MAX_FRAMES
 from dcsim.model import PolicyConfig
 
@@ -272,6 +273,39 @@ def test_infeasible_first_row_is_named_when_rows_share_runs(capsys):
     assert rc == 2
     assert capsys.readouterr().err == ("infeasible scenario: cannot place 23 VM(s) at "
                                        "requested capacity (policy row DVFS)\n")
+
+
+def test_experiment_places_the_fleet_once(monkeypatch):
+    # placement reads only the fleet, which the default 7 rows x 2 runs share;
+    # each run still starts from host and VM states of its own
+    calls = []
+    placed = []
+    mbfd, run_lockstep = engine.mbfd, cli.run_lockstep
+
+    def counted(req):
+        calls.append(req)
+        return mbfd(req)
+
+    def recorded(runs):
+        # as placed, before static rows join one pass
+        placed.append([(state, scenario, [*state.hosts, *state.vms],
+                        [list(h.resident_vms) for h in state.hosts],
+                        [h.powered_on for h in state.hosts]) for state, scenario in runs])
+        return run_lockstep(runs)
+
+    monkeypatch.setattr(engine, "mbfd", counted)
+    monkeypatch.setattr(cli, "run_lockstep", recorded)
+    run_experiment(parse_config("runs = 2\n"))
+    assert len(calls) == 1
+    assert len(placed) == 2 and all(len(runs) == 7 for runs in placed)
+    objects = [o for runs in placed for _, _, states, *_ in runs for o in states]
+    assert len({id(o) for o in objects}) == len(objects) == 2 * 7 * (100 + 290)
+    for i, runs in enumerate(placed):
+        for state, scenario, _, residents, powered in runs:
+            alone = engine.initial_placement(scenario, seed=state.rng.seed)
+            assert state.rng.seed == cli.child_rng(scenario.seed, i).seed
+            assert residents == [h.resident_vms for h in alone.hosts]
+            assert powered == [h.powered_on for h in alone.hosts]
 
 
 def test_config_file_with_flag_overrides(tmp_path):

@@ -1,12 +1,14 @@
 """Best-fit-decreasing placement and its power-increase cost."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcsim import (HostSnapshot, PlacementPlan, PlacementRequest, VmRequest, mbfd,
-                   power_increase)
+from dcsim import (HostSnapshot, PlacementPlan, PlacementRequest, VmRequest,
+                   default_paper_scenario, initial_placement, mbfd, power_increase,
+                   reallocate, step)
+from dcsim import placement, policies
 
 
 def snap(id=0, cap=1000.0, on=True, demand=0.0, ram=8192.0, storage=1024.0,
@@ -228,6 +230,98 @@ def test_mbfd_matches_reference_on_identical_idle_hosts():
     vms = [vm(id=i, demand=(250.0, 500.0, 750.0, 1000.0, 433.9)[i % 5]) for i in range(40)]
     req = PlacementRequest(vms=vms, hosts=hosts, upper_threshold=0.8)
     assert mbfd(req) == reference_mbfd(req)
+
+
+# Three host classes that differ in capacity, peak power and idle fraction.
+MIXED_CLASSES = ((1000.0, 250.0, 0.7), (2000.0, 135.0, 0.5), (3000.0, 117.5, 0.0))
+
+
+def mixed(id, on=True, demand=0.0, ram=8192.0, cls=None):
+    cap, p_max, k = MIXED_CLASSES[id % 3 if cls is None else cls]
+    return snap(id=id, cap=cap, on=on, demand=demand, ram=ram, p_max=p_max, k=k)
+
+
+def non_round_vms(n, ram=128.0):
+    return [vm(id=i, demand=37.5 + (i * 211.37) % 962.5, ram=ram) for i in range(n)]
+
+
+def _excluded_group_head():
+    # the lowest id of each class is excluded, so the next one heads its group
+    hosts = [mixed(i, on=i < 6) for i in range(15)]
+    return PlacementRequest(vms=non_round_vms(30), hosts=hosts, upper_threshold=0.9,
+                            excluded_hosts=frozenset({0, 1, 2, 6}))
+
+
+def _off_hosts_interleaved_with_on_hosts():
+    # one class, on and off by turns; off hosts may not be powered on
+    hosts = [mixed(i, on=i % 2 == 0, cls=1) for i in range(12)]
+    hosts += [mixed(i, on=i % 3 == 0) for i in range(12, 18)]
+    return PlacementRequest(vms=non_round_vms(20), hosts=hosts, upper_threshold=0.8,
+                            allow_power_on=False)
+
+
+def _reverse_id_order():
+    hosts = [mixed(i, on=i % 4 == 0) for i in range(16)][::-1]
+    return PlacementRequest(vms=non_round_vms(35), hosts=hosts, upper_threshold=0.7)
+
+
+def _groups_differing_only_in_power_state():
+    hosts = [mixed(i, on=(i // 3) % 2 == 0) for i in range(18)]
+    return PlacementRequest(vms=non_round_vms(40), hosts=hosts)
+
+
+def _groups_differing_only_in_free_ram():
+    # every third host of a class has room for one 1 GB VM only
+    hosts = [mixed(i, ram=1500.0 if (i // 3) % 3 == 0 else 8192.0) for i in range(18)]
+    return PlacementRequest(vms=non_round_vms(30, ram=1024.0), hosts=hosts, upper_threshold=0.9)
+
+
+def _signed_zero_demands_in_one_group():
+    hosts = [mixed(i, demand=-0.0 if i % 2 else 0.0, cls=i // 2 % 2) for i in range(12)]
+    vms = non_round_vms(25) + [vm(id=25, demand=0.0), vm(id=26, demand=-0.0)]
+    return PlacementRequest(vms=vms, hosts=hosts, upper_threshold=0.6)
+
+
+@pytest.mark.parametrize("build", [
+    _excluded_group_head, _off_hosts_interleaved_with_on_hosts, _reverse_id_order,
+    _groups_differing_only_in_power_state, _groups_differing_only_in_free_ram,
+    _signed_zero_demands_in_one_group])
+def test_mbfd_matches_reference_on_grouped_hosts(build):
+    req = build()
+    assert mbfd(req) == reference_mbfd(req)
+
+
+def test_mbfd_builds_one_record_per_state_and_per_receiving_host(monkeypatch):
+    # ST's repack twenty frames into a default ST50 run: the 100-host fleet
+    # stripped of residents, some hosts on and some off, and the fractional
+    # demands of the VMs still running
+    scenario = default_paper_scenario("ST", upper_threshold=0.5)
+    state = initial_placement(scenario)
+    for _ in range(20):
+        step(state, scenario)
+    requests = []
+
+    def recorded(req):
+        requests.append(req)
+        return mbfd(req)
+
+    monkeypatch.setattr(policies, "mbfd", recorded)
+    reallocate(scenario.policy, state.hosts, state.active, state.rng)
+    [req] = requests
+    assert len(req.hosts) == 100 and 0 < sum(h.powered_on for h in req.hosts) < 100
+    checked = []
+    check = placement.check_power_curve
+
+    def counted(p_max, k):
+        checked.append((p_max, k))
+        check(p_max, k)
+
+    monkeypatch.setattr(placement, "check_power_curve", counted)
+    plan = mbfd(req)
+    states = {astuple(replace(h, id=0)) for h in req.hosts}
+    receivers = set(plan.assignments.values())
+    assert len(checked) <= len(states) + len(receivers) < len(req.hosts)
+    assert plan == reference_mbfd(req)
 
 
 @pytest.mark.parametrize("host, demand", [
