@@ -1,13 +1,15 @@
 """Frame-driven simulation loop.
 
 Each frame goes once over the hosts in fleet order.  For each host with
-VMs it samples their utilization in resident order, sums the demands once,
-shares the host's MIPS proportionally, records SLA measurements and
-advances each VM's work (finished VMs leave the fleet).  Then the frame's
-energy is charged host by host from those loads, the policy is invoked,
-its migration plan applied and host power states adjusted.  SLA and energy
-are therefore charged against the placement in force during the frame,
-and the policy reacts to the loads it just observed.  Static runs (NPA,
+VMs it samples their utilization in resident order, in one call, sums the
+demands once, shares the host's MIPS proportionally, records SLA
+measurements and advances each VM's work (finished VMs leave the fleet).
+Then the frame's energy is charged host by host from those loads, with
+each run's constant draws (NPA's peak, an empty host's idle) taken from
+terms computed once per run.  Last the policy is invoked, its migration
+plan applied and host power states adjusted.  SLA and energy are
+therefore charged against the placement in force during the frame, and
+the policy reacts to the loads it just observed.  Static runs (NPA,
 DVFS) placed alike on one workload trace share that pass, each charged on
 its own meter.
 """
@@ -20,7 +22,9 @@ from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, Placeme
 from .power import accumulate, host_power, power
 from .placement import PlacementRequest, VmRequest, mbfd, stripped
 from . import policies
-from .workload import DEFAULT_UTIL_STEP, SeededRng, walk_utilization
+from .workload import SeededRng
+# no longer called here; kept bound for the benchmark's tracer until ROADMAP item 13
+from .workload import walk_utilization  # noqa: F401
 
 # Policies that switch a host off once it empties out.  NPA and DVFS
 # perform no consolidation at run time, so under them a host that empties
@@ -70,6 +74,9 @@ class SimulationState:
     energy_wh: float = 0.0
     frames: list = field(default_factory=list)
     trace: WorkloadTrace = field(default_factory=WorkloadTrace)
+    # the hosts' constant draws per frame (``_constant``), set when the run
+    # is first stepped
+    constant: tuple = None
 
 
 def place_fleet(scenario: Scenario) -> PlacementPlan:
@@ -139,32 +146,53 @@ def share_mips(host: HostState, demands, load: float) -> dict:
     return {vm_id: d * scale for vm_id, d in demands.items()}
 
 
-def _charge(total_wh, hosts, loads, npa, dt):
+def _constant(hosts, scenario):
+    """(NPA or not, frame seconds, each host's constant draw per frame in Wh).
+
+    The draws are in fleet order.  Under NPA each is the host's peak draw,
+    which it is charged whatever its load; otherwise its idle draw, which it
+    is charged while on and empty.
+    """
+    npa, dt = scenario.policy.kind == "NPA", scenario.frame_seconds
+    if npa:
+        terms = [h.spec.p_max_watts * dt / 3600.0 for h in hosts]
+    else:
+        terms = [power(h.spec, 0.0) * dt / 3600.0 for h in hosts]
+    return npa, dt, terms
+
+
+def _charge(total_wh, hosts, loads, constant, dt):
     """Return ``total_wh`` plus the fleet's energy for one frame of ``dt`` s.
 
     ``loads`` holds each host's CPU load in MIPS, in fleet order, or None for
-    a host with no residents.  Each host's draw is added in fleet order: its
-    peak under NPA, whatever its load; otherwise ``host_power`` at its load,
-    and for an empty host its constant draw, idle when on and nothing when
-    off, without a power call.  The empty host's term is added as
-    ``accumulate`` would add it, so the float sum keeps its order and bits.
+    a host with no residents; ``constant`` is the run's ``_constant``.  Each
+    host's draw is added in fleet order.  Under NPA that is its peak term,
+    whatever its load.  Otherwise a host with residents is charged
+    ``host_power`` at its load through ``accumulate``, and an empty one its
+    idle term when on and nothing when off, without a power call.  Each term
+    is ``p * dt / 3600.0``, as ``accumulate`` forms it, and the terms are
+    added one by one, so the float sum keeps its order and bits.
     """
-    for host, load in zip(hosts, loads):
+    npa, _, terms = constant
+    if npa:
+        for wh in terms:
+            total_wh += wh
+        return total_wh
+    for host, load, wh in zip(hosts, loads, terms):
         if load is None:
-            if npa or host.powered_on:
-                p = host.spec.p_max_watts if npa else power(host.spec, 0.0)
-                total_wh += p * dt / 3600.0
+            if host.powered_on:
+                total_wh += wh
         else:
-            p = host.spec.p_max_watts if npa else host_power(host, load)
-            total_wh = accumulate(total_wh, p, dt)
+            total_wh = accumulate(total_wh, host_power(host, load), dt)
     return total_wh
 
 
 def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
     """Advance the simulation by one frame; returns the frame's metrics.
 
-    A VM's utilization at frame ``f`` is read from ``state.trace`` when a
-    run sharing the trace has drawn it; otherwise it is the keyed draw for
+    Each host's residents are sampled in one ``SeededRng.walk_residents``
+    call: a VM's utilization at frame ``f`` is read from ``state.trace`` when
+    a run sharing the trace has drawn it; otherwise it is the keyed draw for
     (vm, f), walked on from the VM's value at ``f - 1``, and is stored there.
     Raises ``RuntimeError`` when runs sharing the trace fall out of lockstep.
 
@@ -174,7 +202,9 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
 
     Each host with VMs has its demands summed once, left to right; that
     load goes to ``share_mips`` and to the energy charge.  A host with
-    no residents is neither shared nor given a power call.
+    no residents is neither shared nor given a power call, and an NPA host
+    none at all: their draws are the run's constant terms, computed once
+    per run.
 
     ``sharing`` lists static (state, scenario) runs that hold this run's
     VM states and host resident lists, as ``run_lockstep`` arranges; this
@@ -195,7 +225,7 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
                                % (frame, trace.frame))
         trace.frame, trace.previous, trace.current = frame, trace.current, {}
     current, previous = trace.current, trace.previous
-    keyed_u01 = state.rng.keyed_u01
+    walk_residents = state.rng.walk_residents
     state_of = active.__getitem__
     measurements = len(active)
     violations = 0
@@ -208,17 +238,14 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
 
         # 1. sample utilization: a reflected random walk over keyed uniform
         # draws, so the trace for (seed, vm, frame) is policy-independent
-        residents = list(map(state_of, host.resident_vms))
+        ids = host.resident_vms
+        residents = list(map(state_of, ids))
+        if sampler is None:
+            utilizations = walk_residents(ids, frame, current, previous)
+        else:
+            utilizations = [sampler(vm_id, frame) for vm_id in ids]
         demands = {}
-        for vm_id, vm in zip(host.resident_vms, residents):
-            if sampler is not None:
-                u = sampler(vm_id, frame)
-            else:
-                u = current.get(vm_id)
-                if u is None:
-                    draw = keyed_u01(vm_id, frame)
-                    u = current[vm_id] = draw if frame == 0 else walk_utilization(
-                        previous[vm_id], draw, DEFAULT_UTIL_STEP)
+        for vm_id, vm, u in zip(ids, residents, utilizations):
             demands[vm_id] = vm.demand_mips = u * vm.spec.requested_mips
 
         # 2. proportional sharing of the summed demand, which is also the load
@@ -251,8 +278,11 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
     # during the frame
     frame_wh = []
     for run, run_scenario in runs:
+        constant = run.constant
+        if constant is None or constant[:2] != (run_scenario.policy.kind == "NPA", dt):
+            constant = run.constant = _constant(run.hosts, run_scenario)
         before = run.energy_wh
-        run.energy_wh = _charge(before, run.hosts, loads, run_scenario.policy.kind == "NPA", dt)
+        run.energy_wh = _charge(before, run.hosts, loads, constant, dt)
         frame_wh.append(run.energy_wh - before)
 
     # 5. policy reallocation, applied atomically

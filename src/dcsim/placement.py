@@ -81,16 +81,23 @@ def power_increase(host: HostSnapshot, vm_demand_mips: float) -> float:
     """Growth in power draw if a VM demanding ``vm_demand_mips`` lands on ``host``.
 
     For an off host this includes the full idle component, which
-    penalizes activation.
+    penalizes activation.  Raises ValueError for a negative demand, an
+    invalid power curve, or a host with a negative or NaN utilization or a
+    NaN free RAM or storage.
     """
     if vm_demand_mips < 0:
         raise ValueError("vm_demand_mips must be non-negative")
     check_power_curve(host.p_max_watts, host.idle_fraction)
+    # checked as mbfd checks a host's state
+    u_before = host.cpu_demand_mips / host.mips_capacity
+    if not u_before >= 0.0:
+        raise ValueError("utilization must be in [0, 1]")
+    if host.ram_free_mb != host.ram_free_mb or host.storage_free_gb != host.storage_free_gb:
+        raise ValueError("free RAM and storage must not be NaN")
     u_after = min(1.0, (host.cpu_demand_mips + vm_demand_mips) / host.mips_capacity)
     if not host.powered_on:
         return power(host, u_after)
-    u_before = min(1.0, host.cpu_demand_mips / host.mips_capacity)
-    return power(host, u_after) - power(host, u_before)
+    return power(host, u_after) - power(host, min(1.0, u_before))
 
 
 def mbfd(req: PlacementRequest) -> PlacementPlan:
@@ -111,7 +118,8 @@ def mbfd(req: PlacementRequest) -> PlacementPlan:
     gets a record copied from the group's derived state.  So a call builds
     one record per distinct state and one per host that receives a VM.
     Raises ValueError for a negative VM demand or for a usable host with
-    an invalid power curve or a utilization outside [0, 1].
+    an invalid power curve, a negative or NaN utilization, or a NaN free
+    RAM or storage.
     """
     upper, excluded, allow_power_on = req.upper_threshold, req.excluded_hosts, req.allow_power_on
     # Per-host records:
@@ -135,9 +143,15 @@ def mbfd(req: PlacementRequest) -> PlacementPlan:
             continue
         cap, p_max, k, on, cpu, ram, storage = state
         check_power_curve(p_max, k)
-        u = min(1.0, cpu / cap)
-        if not 0.0 <= u <= 1.0:
+        # read before clamping, since min(1.0, nan) is 1.0; a NaN free RAM
+        # or storage would never be exceeded
+        u = cpu / cap
+        if not u >= 0.0:
             raise ValueError("utilization must be in [0, 1]")
+        if ram != ram or storage != storage:
+            raise ValueError("free RAM and storage must not be NaN")
+        if u > 1.0:
+            u = 1.0
         idle_w, dyn_w = k * p_max, (1.0 - k) * p_max
         # x - 0.0 == x, so an off host's increase is its whole draw after
         heads[state] = record = [pos, h.id, cap, upper * cap, idle_w, dyn_w, cpu, ram, storage,

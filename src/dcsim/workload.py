@@ -52,7 +52,8 @@ class SeededRng:
         self.seed = seed & _MASK64
         self._mixed_seed = _mix64(self.seed)
         self._counter = 0
-        # first key -> _mix_key(mixed seed, first key); one entry per VM in a run
+        # vm id -> _mix_key(mixed seed, vm id), for ``walk_residents``; one entry
+        # per VM in a run
         self._first_mix = {}
 
     def next_u64(self) -> int:
@@ -70,25 +71,45 @@ class SeededRng:
     def keyed_u01(self, *keys: int) -> float:
         """Uniform draw determined purely by (seed, keys); not streamed.
 
-        The mix of the first key (a VM's id, in the engine) is computed once
-        per generator and kept, so each later call mixes only the remaining
-        keys; the draw is the same as mixing every key afresh.  The remaining
-        keys are folded here, as ``_mix_key`` folds them, and the word made a
-        unit float as ``_to_unit`` makes it, since this is the frame loop's
-        most frequent call.
+        This is the reference chain: each key folded into the mixed seed
+        (``_mix_key``) and the word made a unit float.  The engine draws
+        through ``walk_residents``, which gives the same value for a VM's
+        (vm, frame) draw.
         """
-        if not keys:
-            return _to_unit(self._mixed_seed)
-        first = keys[0]
-        h = self._first_mix.get(first)
-        if h is None:
-            h = self._first_mix[first] = _mix_key(self._mixed_seed, first)
-        for k in keys[1:]:
-            z = h ^ ((k * _GOLDEN) & _MASK64)
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            h = z ^ (z >> 31)
-        return (h >> 11) * (2.0 ** -53)
+        return _to_unit(_mix_key(self._mixed_seed, *keys))
+
+    def walk_residents(self, vm_ids, frame: int, current: dict, previous: dict) -> list:
+        """Each VM's walked utilization at ``frame``, in the order of ``vm_ids``.
+
+        A VM already in ``current`` is read from it.  Any other is drawn and
+        stored there: at frame 0 its keyed draw ``keyed_u01(vm, 0)`` itself,
+        later ``walk_utilization(previous[vm], keyed_u01(vm, frame),
+        DEFAULT_UTIL_STEP)``.  Those integer and float operations are spelled
+        out inline: the frame's key is folded once per call, and each VM's
+        first-key mix is computed once per generator and kept.
+        """
+        mask, step = _MASK64, DEFAULT_UTIL_STEP
+        fold = (frame * _GOLDEN) & mask
+        first_mix = self._first_mix
+        values = []
+        for vm_id in vm_ids:
+            u = current.get(vm_id)
+            if u is None:
+                h = first_mix.get(vm_id)
+                if h is None:
+                    h = first_mix[vm_id] = _mix_key(self._mixed_seed, vm_id)
+                z = h ^ fold
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                u = ((z ^ (z >> 31)) >> 11) * (2.0 ** -53)
+                if frame:
+                    # walk_utilization, then reflect_unit
+                    u = (previous[vm_id] + step * (2.0 * u - 1.0)) % 2.0
+                    if u > 1.0:
+                        u = 2.0 - u
+                current[vm_id] = u
+            values.append(u)
+        return values
 
 
 def utilization_at(seed: int, vm_id: int, frame_index: int) -> float:

@@ -1,7 +1,10 @@
 """Simulation loop: placement, sharing, energy, work, determinism."""
 
+import importlib
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -330,7 +333,11 @@ def test_runs_differ_across_child_seeds():
 
 
 class CountingRng(SeededRng):
-    """A SeededRng that counts its keyed and its sequential draws."""
+    """A SeededRng that counts its keyed and its sequential draws.
+
+    A keyed draw is a ``keyed_u01`` call or a VM that ``walk_residents`` is
+    given and does not find in ``current``, so it must draw it.
+    """
 
     keyed = sequential = 0
 
@@ -341,6 +348,10 @@ class CountingRng(SeededRng):
     def keyed_u01(self, *keys):
         self.keyed += 1
         return super().keyed_u01(*keys)
+
+    def walk_residents(self, vm_ids, frame, current, previous):
+        self.keyed += sum(1 for v in vm_ids if v not in current)
+        return super().walk_residents(vm_ids, frame, current, previous)
 
 
 def run_counting_draws(sc):
@@ -374,6 +385,24 @@ def test_sampler_is_called_host_by_host_in_resident_order():
         calls = []
         step(state, sc, sampler=lambda v, f: calls.append((v, f)) or (v * 37 + f) % 100 / 100)
         assert calls == expected
+
+
+def test_every_binding_the_benchmark_traces_resolves():
+    # perfbench/tracing.py wraps each (module, attribute path) of TRACED; one
+    # that dcsim no longer binds is otherwise seen only in the traced pass
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for _, module, attr_path, _ in tracing.TRACED:
+        owner = importlib.import_module(module)
+        for attr in attr_path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append("%s.%s" % (module, attr_path))
+    assert tracing.TRACED and missing == []
+
 
 def test_frame_clock_advances_by_frame_seconds():
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,), frame=30.0)

@@ -198,14 +198,21 @@ def test_static_rows_make_one_host_pass(monkeypatch):
 
 
 def test_each_vm_frame_is_drawn_once_per_run_index(monkeypatch):
+    # a draw is a keyed_u01 call or a VM that walk_residents must draw, not
+    # finding it in the trace's ``current``
     draws = []
-    keyed_u01 = SeededRng.keyed_u01
+    keyed_u01, walk_residents = SeededRng.keyed_u01, SeededRng.walk_residents
 
     def counting(rng, *keys):
         draws.append((rng.seed,) + keys)
         return keyed_u01(rng, *keys)
 
+    def counting_residents(rng, vm_ids, frame, current, previous):
+        draws.extend((rng.seed, v, frame) for v in vm_ids if v not in current)
+        return walk_residents(rng, vm_ids, frame, current, previous)
+
     monkeypatch.setattr(SeededRng, "keyed_u01", counting)
+    monkeypatch.setattr(SeededRng, "walk_residents", counting_residents)
     scenario = _mixed_fleet()
     run_experiment(ExperimentSpec(scenario=scenario, policies=MIXED_ROWS))
     assert len(draws) == len(set(draws))

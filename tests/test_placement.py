@@ -1,5 +1,6 @@
 """Best-fit-decreasing placement and its power-increase cost."""
 
+import math
 from dataclasses import astuple, replace
 
 import pytest
@@ -329,6 +330,10 @@ def test_mbfd_builds_one_record_per_state_and_per_receiving_host(monkeypatch):
     (dict(k=1.5), 100.0),
     (dict(demand=-500.0), 100.0),
     (dict(), -1.0),
+    (dict(demand=math.nan), 100.0),
+    (dict(ram=math.nan), 100.0),
+    (dict(storage=math.nan), 100.0),
+    (dict(on=False, demand=math.nan), 100.0),
 ])
 def test_mbfd_raises_where_the_reference_raises(host, demand):
     req = PlacementRequest(vms=[vm(id=0, demand=demand)], hosts=[snap(id=0, **host)])
@@ -336,3 +341,22 @@ def test_mbfd_raises_where_the_reference_raises(host, demand):
         reference_mbfd(req)
     with pytest.raises(ValueError):
         mbfd(req)
+
+
+@pytest.mark.parametrize("hosts", [
+    [HostSnapshot(0, 1000.0, 250.0, 0.7, True, math.nan, 8192.0, 1024.0)],
+    [HostSnapshot(1, 1000.0, 250.0, 0.7, True, 0.0, math.nan, 1024.0)],
+    [HostSnapshot(0, 1000.0, 250.0, 0.7, True, math.nan, 8192.0, 1024.0),
+     HostSnapshot(1, 1000.0, 250.0, 0.7, True, 0.0, math.nan, 1024.0)],
+])
+def test_a_nan_in_a_usable_snapshot_is_rejected(hosts):
+    # min(1.0, nan) is 1.0, and a NaN free RAM is never exceeded
+    with pytest.raises(ValueError):
+        mbfd(PlacementRequest(vms=[vm(id=0, demand=100.0)], hosts=hosts))
+    for h in hosts:
+        with pytest.raises(ValueError):
+            power_increase(h, 100.0)
+    # an excluded host is not usable, so its state is not read
+    plan = mbfd(PlacementRequest(vms=[vm(id=0, demand=100.0)], hosts=hosts + [snap(id=2)],
+                                 excluded_hosts=frozenset(h.id for h in hosts)))
+    assert plan.assignments == {0: 2}

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsim.workload import (SeededRng, child_rng, reflect_unit, utilization_at,
-                            utilization_walk, walk_utilization)
+from dcsim.workload import (DEFAULT_UTIL_STEP, SeededRng, child_rng, reflect_unit,
+                            utilization_at, utilization_walk, walk_utilization)
 
 
 def test_same_seed_same_stream():
@@ -91,13 +91,37 @@ _ids = st.one_of(st.integers(-1000, 1000), st.integers(-2 ** 70, 2 ** 70),
 
 @given(st.integers(-2 ** 70, 2 ** 70), st.lists(_ids, max_size=3), st.lists(_ids, max_size=5))
 def test_keyed_draw_equals_the_mix_chain_cached_or_not(seed, keys, earlier):
-    expected = _unit(_chain(seed, *keys))
-    assert SeededRng(seed).keyed_u01(*keys) == expected
+    assert SeededRng(seed).keyed_u01(*keys) == _unit(_chain(seed, *keys))
+    # walk_residents keeps each VM's first-key mix: with that cache filled by
+    # other (and maybe the same) ids, a VM's frame-0 draw is still the chain's
     rng = SeededRng(seed)
-    for first in earlier:  # fill the cache with other (and maybe the same) first keys
-        rng.keyed_u01(first, 7)
-    assert rng.keyed_u01(*keys) == expected
-    assert rng.keyed_u01(*keys) == expected
+    for first in earlier:
+        rng.walk_residents([first], 0, {}, {})
+    for vm in keys:
+        expected = [_unit(_chain(seed, vm, 0))]
+        assert rng.walk_residents([vm], 0, {}, {}) == expected
+        assert rng.walk_residents([vm], 0, {}, {}) == expected
+
+
+_units = st.floats(0.0, 1.0)
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.lists(_ids, max_size=8), st.integers(0, 40),
+       st.data())
+def test_resident_batch_equals_keyed_draws_walked(seed, vm_ids, frame, data):
+    previous = {v: data.draw(_units) for v in vm_ids}
+    filled = data.draw(st.dictionaries(st.sampled_from(vm_ids), _units)) if vm_ids else {}
+    expected = dict(filled)  # a VM already drawn at this frame is read, not drawn again
+    for v in vm_ids:
+        if v not in expected:
+            draw = SeededRng(seed).keyed_u01(v, frame)
+            expected[v] = draw if frame == 0 else walk_utilization(
+                previous[v], draw, DEFAULT_UTIL_STEP)
+    current, previous_before = dict(filled), dict(previous)
+    values = SeededRng(seed).walk_residents(vm_ids, frame, current, previous)
+    assert values == [expected[v] for v in vm_ids]
+    assert current == expected
+    assert previous == previous_before
 
 
 @given(st.integers(-2 ** 70, 2 ** 70), _ids, _ids, st.integers(0, 2 ** 66))
