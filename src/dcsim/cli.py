@@ -159,13 +159,18 @@ def _read_config(text):
         kind, lower, upper = sec["kind"], sec.get("lower"), sec.get("upper")
         grid = [(lower, upper)]
         if sweep_pairs and lower is None and upper is None and kind not in STATIC_KINDS:
-            grid = [(lo if kind in TWO_THRESHOLD_KINDS else None, hi)
-                    for lo, hi in sorted(sweep_pairs)]
+            grid = [_thresholds(kind, lo, hi) for lo, hi in sorted(sweep_pairs)]
         try:
             policies += [PolicyConfig(kind, lo, hi) for lo, hi in grid]
         except ValueError as exc:
             raise ConfigError(str(exc))
     return scalars, policies
+
+
+def _thresholds(kind, lower, upper):
+    """(lower, upper) as a row of ``kind`` takes them, None for one it does not take."""
+    return (lower if kind in TWO_THRESHOLD_KINDS else None,
+            upper if kind not in STATIC_KINDS else None)
 
 
 def _build_spec(scalars, policies) -> ExperimentSpec:
@@ -285,11 +290,8 @@ def _spec_from_args(args) -> ExperimentSpec:
     upper = None if args.upper is None else args.upper / 100.0
     if args.policy:
         try:
-            policies = [
-                PolicyConfig(kind,
-                             lower if kind in TWO_THRESHOLD_KINDS else None,
-                             upper if kind not in STATIC_KINDS else None)
-                for kind in args.policy]
+            policies = [PolicyConfig(kind, *_thresholds(kind, lower, upper))
+                        for kind in args.policy]
         except ValueError as exc:
             raise ConfigError(str(exc))
     # the flags apply only to --policy rows; a flag no row takes is an error

@@ -132,18 +132,18 @@ def initial_placement(scenario: Scenario, seed=None, trace=None) -> SimulationSt
     return placed_state(scenario, place_fleet(scenario), seed=seed, trace=trace)
 
 
-def share_mips(host: HostState, demands, load: float) -> dict:
-    """Allocate host capacity to demands, scaling proportionally on overload.
+def share_mips(host: HostState, demands, load: float) -> list:
+    """Allocate host capacity to a list of demands, scaling proportionally on overload.
 
     ``load`` is the sum of the demands; the engine adds them left to right
     (``model.add_up``).  When it fits, ``demands`` itself is returned, not a
-    copy; otherwise a new dict in the same order.
+    copy; otherwise a new list in the same order.
     """
     capacity = host.spec.mips_capacity
     if load <= capacity:
         return demands
     scale = capacity / load
-    return {vm_id: d * scale for vm_id, d in demands.items()}
+    return [d * scale for d in demands]
 
 
 def _constant(hosts, scenario):
@@ -244,14 +244,12 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
             utilizations = walk_residents(ids, frame, current, previous)
         else:
             utilizations = [sampler(vm_id, frame) for vm_id in ids]
-        demands = {}
-        for vm_id, vm, u in zip(ids, residents, utilizations):
-            demands[vm_id] = vm.demand_mips = u * vm.spec.requested_mips
+        demands = [u * vm.spec.requested_mips for vm, u in zip(residents, utilizations)]
 
         # 2. proportional sharing of the summed demand, which is also the load
         # that energy is charged from, so an oversubscribed host is exactly at
         # full load
-        load = add_up(demands.values())
+        load = add_up(demands)
         loads.append(load)
         alloc = share_mips(host, demands, load)
 
@@ -259,7 +257,8 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
         # list of its own, so finished VMs can leave the host while it is read.
         # A VM whose share covers its remaining work finishes with exactly 0.0
         # left; any other keeps ``left - work``, which is above zero.
-        for vm, d, a in zip(residents, demands.values(), alloc.values()):
+        for vm, d, a in zip(residents, demands, alloc):
+            vm.demand_mips = d
             if a < d:
                 violations += 1
                 shortfall_sum += (d - a) / d

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .model import HostState, PlacementPlan, check_power_curve
+from .model import PlacementPlan, check_power_curve
 from .power import power
 
 
@@ -33,17 +33,6 @@ class HostSnapshot:
     cpu_demand_mips: float
     ram_free_mb: float
     storage_free_gb: float
-
-    @classmethod
-    def from_state(cls, host: HostState, cpu_demand_mips, ram_used_mb, storage_used_gb):
-        return cls(id=host.spec.id,
-                   mips_capacity=host.spec.mips_capacity,
-                   p_max_watts=host.spec.p_max_watts,
-                   idle_fraction=host.spec.idle_fraction,
-                   powered_on=host.powered_on,
-                   cpu_demand_mips=cpu_demand_mips,
-                   ram_free_mb=host.spec.ram_mb - ram_used_mb,
-                   storage_free_gb=host.spec.storage_gb - storage_used_gb)
 
 
 # A snapshot's whole state but its id: hosts equal in it get equal records

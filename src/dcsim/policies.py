@@ -4,8 +4,10 @@ NPA and DVFS never adapt at run time.  ST recomputes a full placement of
 all active VMs every frame under a single upper utilization threshold.
 The two-threshold policies (MM, HPG, RC) migrate a selection of VMs off
 hosts above the upper threshold and evacuate hosts below the lower
-threshold so they can be switched off; they differ only in how VMs are
-picked from an overloaded host:
+threshold so they can be switched off.  They share one selection loop,
+which takes VMs off an overloaded host one at a time while the exact sum
+of the demands left exceeds ``upper * capacity``, and differ only in
+which VM it takes next:
 
     MM  - fewest VMs whose removal gets the host back under the threshold
     HPG - VMs using the smallest share of their requested CPU first
@@ -35,6 +37,28 @@ def _over(demands, limit) -> float:
     return math.fsum([*demands, -limit])
 
 
+def _select(host: HostState, vms, upper_threshold: float, pick) -> list:
+    """The VMs ``pick`` takes off ``host``, one at a time, until u <= upper.
+
+    Before each pick the excess of the residents not yet taken over
+    ``upper * capacity`` is recomputed exactly (``_over``), and the
+    selection stops as soon as it is <= 0.  ``pick(working, excess)`` is
+    given those residents, in id order, and the excess, and returns the
+    one to take next.
+    """
+    limit = upper_threshold * host.spec.mips_capacity
+    working = sorted(host.resident_vms)
+    picked = []
+    while working:
+        excess = _over([vms[v].demand_mips for v in working], limit)
+        if excess <= 0:
+            break
+        v = pick(working, excess)
+        working.remove(v)
+        picked.append(v)
+    return picked
+
+
 def select_vms_mm(host: HostState, vms, upper_threshold: float) -> list:
     """Minimum-cardinality selection restoring u <= upper.
 
@@ -44,46 +68,24 @@ def select_vms_mm(host: HostState, vms, upper_threshold: float) -> list:
     can cover the excess) makes the selection minimal in count.  The
     excess is recomputed exactly from the residents left at each step.
     """
-    limit = upper_threshold * host.spec.mips_capacity
-    working = sorted(((vms[v].demand_mips, v) for v in host.resident_vms),
-                     key=lambda t: (t[0], t[1]))
-    picked = []
-    while working:
-        excess = _over((d for d, _ in working), limit)
-        if excess <= 0:
-            break
-        over = [t for t in working if t[0] > excess]
+    def pick(working, excess):
+        over = [v for v in working if vms[v].demand_mips > excess]
         if over:
-            choice = min(over, key=lambda t: (t[0], t[1]))
-        else:
-            choice = max(working, key=lambda t: (t[0], -t[1]))
-        working.remove(choice)
-        picked.append(choice[1])
-    return picked
+            return min(over, key=lambda v: (vms[v].demand_mips, v))
+        return max(working, key=lambda v: (vms[v].demand_mips, -v))
+    return _select(host, vms, upper_threshold, pick)
 
 
 def select_vms_hpg(host: HostState, vms, upper_threshold: float) -> list:
     """Select VMs with the lowest demand/requested ratio until u <= upper."""
-    limit = upper_threshold * host.spec.mips_capacity
-    order = sorted(host.resident_vms,
-                   key=lambda v: (vms[v].demand_mips / vms[v].spec.requested_mips, v))
-    demands = [vms[v].demand_mips for v in order]
-    picked = []
-    for i, v in enumerate(order):
-        if _over(demands[i:], limit) <= 0:
-            break
-        picked.append(v)
-    return picked
+    return _select(host, vms, upper_threshold, lambda working, excess: min(
+        working, key=lambda v: (vms[v].demand_mips / vms[v].spec.requested_mips, v)))
 
 
 def select_vms_rc(host: HostState, vms, upper_threshold: float, rng) -> list:
     """Select uniformly random VMs without replacement until u <= upper."""
-    limit = upper_threshold * host.spec.mips_capacity
-    working = sorted(host.resident_vms)
-    picked = []
-    while working and _over((vms[v].demand_mips for v in working), limit) > 0:
-        picked.append(working.pop(rng.randbelow(len(working))))
-    return picked
+    return _select(host, vms, upper_threshold,
+                   lambda working, excess: working[rng.randbelow(len(working))])
 
 
 def _snapshot(host: HostState, resident, vms) -> HostSnapshot:
@@ -95,13 +97,21 @@ def _snapshot(host: HostState, resident, vms) -> HostSnapshot:
         cpu += vm.demand_mips
         ram += vm.spec.ram_mb
         storage += vm.spec.storage_gb
-    return HostSnapshot.from_state(host, cpu, ram, storage)
+    spec = host.spec
+    return HostSnapshot(spec.id, spec.mips_capacity, spec.p_max_watts, spec.idle_fraction,
+                        host.powered_on, cpu, spec.ram_mb - ram, spec.storage_gb - storage)
 
 
 def _request(vm_states) -> list:
     """One VmRequest per (vm id, VmState) pair, in order."""
     return [VmRequest(v, vm.demand_mips, vm.spec.ram_mb, vm.spec.storage_gb)
             for v, vm in vm_states]
+
+
+def _plan(assignments, vms) -> MigrationPlan:
+    """A move for each VM that ``assignments`` sends off its own host, in VM id order."""
+    return MigrationPlan(moves=[(v, vms[v].host_id, dst) for v, dst in sorted(assignments.items())
+                                if dst != vms[v].host_id])
 
 
 def reallocate(config: PolicyConfig, hosts, vms, rng) -> MigrationPlan:
@@ -125,17 +135,14 @@ def _reallocate_st(config, hosts, vms):
     # of off hosts stays penalized.
     plan = mbfd(PlacementRequest(vms=_request(vms.items()), hosts=stripped(hosts),
                                  upper_threshold=config.upper_threshold))
-    moves = [(v, vms[v].host_id, dst) for v, dst in plan.assignments.items()
-             if dst != vms[v].host_id]
-    moves.sort()
-    return MigrationPlan(moves=moves)
+    return _plan(plan.assignments, vms)
 
 
 def _commit(view, plan, vms, moves):
     moves.update(plan.assignments)
+    # every host in the view is on, so a placement changes no power state
     for v, hid in plan.assignments.items():
         s = view[hid]
-        s.powered_on = True
         s.cpu_demand_mips += vms[v].demand_mips
         s.ram_free_mb -= vms[v].spec.ram_mb
         s.storage_free_gb -= vms[v].spec.storage_gb
@@ -199,6 +206,4 @@ def _reallocate_two_threshold(config, hosts, vms, rng):
         _commit(view, plan, vms, moves)
         evacuated.add(hid)
 
-    plan_moves = [(v, vms[v].host_id, dst) for v, dst in sorted(moves.items())
-                  if dst != vms[v].host_id]
-    return MigrationPlan(moves=plan_moves)
+    return _plan(moves, vms)

@@ -25,18 +25,10 @@ def _mix64(z: int) -> int:
 
 
 def _mix_key(mixed_seed: int, *keys: int) -> int:
-    """Fold each key into ``mixed_seed`` (64 bits, as ``_mix64`` returns).
-
-    The same chain as ``h = _mix64(h ^ ((k * _GOLDEN) & _MASK64))`` per key,
-    with the finalizer inline; ``h`` is already 64 bits, so its mask is not
-    needed.
-    """
+    """Fold each key into ``mixed_seed`` (64 bits, as ``_mix64`` returns)."""
     h = mixed_seed
     for k in keys:
-        z = h ^ ((k * _GOLDEN) & _MASK64)
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        h = z ^ (z >> 31)
+        h = _mix64(h ^ ((k * _GOLDEN) & _MASK64))
     return h
 
 

@@ -41,17 +41,17 @@ def host_1000():
 
 
 def test_share_mips_no_scaling_under_capacity():
-    demands = {1: 300.0, 2: 400.0}
+    demands = [300.0, 400.0]
     alloc = share_mips(host_1000(), demands, 700.0)
-    assert alloc == {1: 300.0, 2: 400.0}
+    assert alloc == [300.0, 400.0]
     assert alloc is demands  # nothing is scaled, so nothing is copied
 
 
 def test_share_mips_scales_proportionally_on_overload():
-    alloc = share_mips(host_1000(), {1: 600.0, 2: 900.0}, 1500.0)
-    assert alloc[1] == pytest.approx(400.0)
-    assert alloc[2] == pytest.approx(600.0)
-    assert sum(alloc.values()) == pytest.approx(1000.0)
+    alloc = share_mips(host_1000(), [600.0, 900.0], 1500.0)
+    assert alloc[0] == pytest.approx(400.0)
+    assert alloc[1] == pytest.approx(600.0)
+    assert sum(alloc) == pytest.approx(1000.0)
 
 
 def test_initial_placement_uses_requested_capacity():

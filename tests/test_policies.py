@@ -1,6 +1,7 @@
 """Reallocation policies: VM selection rules and migration planning."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -146,21 +147,40 @@ def test_mm_minimum_cardinality_oracle():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=1.0, max_value=1000.0), min_size=1, max_size=10),
-       st.sampled_from([0.3, 0.5, 0.7, 0.9]))
+       st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+       st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=10, max_size=10))
 # loads where subtracting picks one at a time from a float excess leaves a
 # rounding residue above zero, so MM used to pick a fifth VM where four suffice
-@example([500.0, 500.0, 548.7026477123579, 548.7026477123579, 500.0], 0.5)
-@example([500.0, 500.0, 501.70264771235793, 547.7026477123579, 547.0], 0.5)
-def test_all_selectors_relieve_the_host(demands, upper):
-    vms = make_vms(demands)
+@example([500.0, 500.0, 548.7026477123579, 548.7026477123579, 500.0], 0.5, [0.0] * 10)
+@example([500.0, 500.0, 501.70264771235793, 547.7026477123579, 547.0], 0.5, [0.0] * 10)
+# exactly at the threshold: the excess is 0.0, so nothing is picked
+@example([300.0, 400.0], 0.7, [0.0] * 10)
+def test_all_selectors_relieve_the_host(demands, upper, headroom):
+    # each VM requests its demand plus its own headroom
+    vms = make_vms(demands, requested=[d + h for d, h in zip(demands, headroom)])
     host = make_host(cap=1000.0, residents=list(range(len(demands))))
+    limit = upper * host.spec.mips_capacity
+
+    def excess(taken):  # exact, in rationals
+        return sum(Fraction(d) for v, d in enumerate(demands) if v not in taken) - Fraction(limit)
+
     mm = select_vms_mm(host, vms, upper)
     hpg = select_vms_hpg(host, vms, upper)
-    rc = select_vms_rc(host, vms, upper, SeededRng(1))
+    rng = SeededRng(1)
+    draws = []
+    randbelow = rng.randbelow
+    rng.randbelow = lambda n: draws.append(n) or randbelow(n)
+    rc = select_vms_rc(host, vms, upper, rng)
     for picked in (mm, hpg, rc):
-        assert relieved(host, vms, picked, upper)
         assert len(picked) == len(set(picked))
         assert set(picked) <= set(host.resident_vms)
+        # each pick was made while the host was still over, and the last one relieved it
+        assert all(excess(picked[:i]) > 0 for i in range(len(picked)))
+        assert excess(picked) <= 0
+    ratio_order = sorted(host.resident_vms,
+                         key=lambda v: (vms[v].demand_mips / vms[v].spec.requested_mips, v))
+    assert hpg == ratio_order[:len(hpg)]
+    assert len(draws) == len(rc)
     # MM minimizes the count, so it never selects more than the others
     assert len(mm) <= len(hpg)
     assert len(mm) <= len(rc)
@@ -268,7 +288,9 @@ def test_st_plan_applies_to_the_fresh_packing():
     applied = {v: state.host_id for v, state in vms.items()}
     for v, _, dst in plan.moves:
         applied[v] = dst
-    snapshots = [HostSnapshot.from_state(h, 0.0, 0.0, 0.0) for h in hosts]
+    snapshots = [HostSnapshot(h.spec.id, h.spec.mips_capacity, h.spec.p_max_watts,
+                              h.spec.idle_fraction, h.powered_on, 0.0, h.spec.ram_mb,
+                              h.spec.storage_gb) for h in hosts]
     requests = [VmRequest(id=v, demand_mips=s.demand_mips, ram_mb=128.0,
                           storage_gb=1.0) for v, s in vms.items()]
     scratch = mbfd(PlacementRequest(vms=requests, hosts=snapshots,
@@ -300,10 +322,12 @@ def reference_two_threshold(config, hosts, vms, rng):
 
     def snapshot(h, skip):
         resident = [v for v in h.resident_vms if v not in skip]
-        return HostSnapshot.from_state(
-            h, cpu_demand_mips=add_up(vms[v].demand_mips for v in resident),
-            ram_used_mb=add_up(vms[v].spec.ram_mb for v in resident),
-            storage_used_gb=add_up(vms[v].spec.storage_gb for v in resident))
+        return HostSnapshot(
+            id=h.spec.id, mips_capacity=h.spec.mips_capacity, p_max_watts=h.spec.p_max_watts,
+            idle_fraction=h.spec.idle_fraction, powered_on=h.powered_on,
+            cpu_demand_mips=add_up(vms[v].demand_mips for v in resident),
+            ram_free_mb=h.spec.ram_mb - add_up(vms[v].spec.ram_mb for v in resident),
+            storage_free_gb=h.spec.storage_gb - add_up(vms[v].spec.storage_gb for v in resident))
 
     def request(vm_ids):
         return [VmRequest(id=v, demand_mips=vms[v].demand_mips, ram_mb=vms[v].spec.ram_mb,
