@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # a ConfigError, or an unreadable or unwritable file
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except InfeasibleScenarioError as exc:
         print("infeasible scenario: %s" % exc, file=sys.stderr)
         return 2

@@ -1,12 +1,13 @@
 """Frame-driven simulation loop.
 
-Each frame goes once over the hosts in fleet order.  For each host with
-VMs it samples their utilization in resident order, in one call, sums the
-demands once, shares the host's MIPS proportionally, records SLA
-measurements and advances each VM's work (finished VMs leave the fleet).
-Then the frame's energy is charged host by host from those loads, with
-each run's constant draws (NPA's peak, an empty host's idle) taken from
-terms computed once per run.  Last the policy is invoked, its migration
+Each frame samples the utilization of every resident of the fleet in one
+call, host by host in resident order.  Then it goes once over the hosts in
+fleet order: for each host with VMs it sums their demands once, shares the
+host's MIPS proportionally, records SLA measurements and advances each VM's
+work (finished VMs leave the fleet).  Then the frame's energy is charged
+host by host from those loads: a loaded host's linear power at its load,
+inline, and each run's constant draws (NPA's peak, an empty host's idle)
+from terms computed once per run.  Last the policy is invoked, its migration
 plan applied and host power states adjusted.  SLA and energy are
 therefore charged against the placement in force during the frame, and
 the policy reacts to the loads it just observed.  Static runs (NPA,
@@ -19,11 +20,12 @@ from dataclasses import dataclass, field, replace
 
 from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, PlacementPlan,
                     RunMetrics, Scenario, VmState, add_up)
-from .power import accumulate, host_power, power
+from .power import power
 from .placement import PlacementRequest, VmRequest, mbfd, stripped
 from . import policies
 from .workload import SeededRng
 # no longer called here; kept bound for the benchmark's tracer until ROADMAP item 13
+from .power import accumulate, host_power  # noqa: F401
 from .workload import walk_utilization  # noqa: F401
 
 # Policies that switch a host off once it empties out.  NPA and DVFS
@@ -167,11 +169,12 @@ def _charge(total_wh, hosts, loads, constant, dt):
     ``loads`` holds each host's CPU load in MIPS, in fleet order, or None for
     a host with no residents; ``constant`` is the run's ``_constant``.  Each
     host's draw is added in fleet order.  Under NPA that is its peak term,
-    whatever its load.  Otherwise a host with residents is charged
-    ``host_power`` at its load through ``accumulate``, and an empty one its
-    idle term when on and nothing when off, without a power call.  Each term
-    is ``p * dt / 3600.0``, as ``accumulate`` forms it, and the terms are
-    added one by one, so the float sum keeps its order and bits.
+    whatever its load.  Otherwise a host that is off adds nothing, an empty
+    one that is on its idle term, and a loaded one ``(k * p_max + (1.0 - k)
+    * p_max * min(1.0, load / capacity)) * dt / 3600.0``, the operations of
+    ``host_power`` and ``accumulate`` spelled out inline.  Every term is
+    ``p * dt / 3600.0``, as ``accumulate`` forms it, and the terms are added
+    one by one, so the float sum keeps its order and bits.
     """
     npa, _, terms = constant
     if npa:
@@ -179,32 +182,37 @@ def _charge(total_wh, hosts, loads, constant, dt):
             total_wh += wh
         return total_wh
     for host, load, wh in zip(hosts, loads, terms):
+        if not host.powered_on:
+            continue
         if load is None:
-            if host.powered_on:
-                total_wh += wh
+            total_wh += wh
         else:
-            total_wh = accumulate(total_wh, host_power(host, load), dt)
+            spec = host.spec
+            k, p_max = spec.idle_fraction, spec.p_max_watts
+            total_wh += (k * p_max + (1.0 - k) * p_max * min(1.0, load / spec.mips_capacity)
+                         ) * dt / 3600.0
     return total_wh
 
 
 def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
     """Advance the simulation by one frame; returns the frame's metrics.
 
-    Each host's residents are sampled in one ``SeededRng.walk_residents``
-    call: a VM's utilization at frame ``f`` is read from ``state.trace`` when
-    a run sharing the trace has drawn it; otherwise it is the keyed draw for
+    The whole fleet's residents, host by host in resident order, are sampled
+    in one ``SeededRng.walk_residents`` call, and each host takes its slice:
+    a VM's utilization at frame ``f`` is read from ``state.trace`` when a run
+    sharing the trace has drawn it; otherwise it is the keyed draw for
     (vm, f), walked on from the VM's value at ``f - 1``, and is stored there.
     Raises ``RuntimeError`` when runs sharing the trace fall out of lockstep.
 
     ``sampler`` overrides utilization sampling for tests: a callable
     (vm_id, frame_index) -> fraction in [0, 1], called host by host in
-    fleet order and, on each host, in resident order; it bypasses the trace.
+    fleet order and, on each host, in resident order, before any host's
+    work is advanced; it bypasses the trace.
 
     Each host with VMs has its demands summed once, left to right; that
-    load goes to ``share_mips`` and to the energy charge.  A host with
-    no residents is neither shared nor given a power call, and an NPA host
-    none at all: their draws are the run's constant terms, computed once
-    per run.
+    load goes to ``share_mips`` and to the energy charge (``_charge``).  A
+    host with no residents is not shared, and its draw, like every NPA
+    host's, is the run's constant term, computed once per run.
 
     ``sharing`` lists static (state, scenario) runs that hold this run's
     VM states and host resident lists, as ``run_lockstep`` arranges; this
@@ -224,27 +232,28 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
             raise RuntimeError("a run at frame %d shares a workload trace at frame %d"
                                % (frame, trace.frame))
         trace.frame, trace.previous, trace.current = frame, trace.current, {}
-    current, previous = trace.current, trace.previous
-    walk_residents = state.rng.walk_residents
-    state_of = active.__getitem__
     measurements = len(active)
     violations = 0
     shortfall_sum = 0.0
+
+    # 1. sample utilization, the whole fleet's residents in one batch, host
+    # by host in resident order: a reflected random walk over keyed uniform
+    # draws, so the trace for (seed, vm, frame) is policy-independent
+    ids = [vm_id for host in state.hosts for vm_id in host.resident_vms]
+    if sampler is None:
+        utilizations = state.rng.walk_residents(ids, frame, trace.current, trace.previous)
+    else:
+        utilizations = [sampler(vm_id, frame) for vm_id in ids]
+    fleet = list(map(active.__getitem__, ids))
+    fleet_demands = [u * vm.spec.requested_mips for vm, u in zip(fleet, utilizations)]
     loads = []  # each host's load in MIPS, or None when it has no residents
+    end = 0
     for host in state.hosts:
         if not host.resident_vms:
             loads.append(None)
             continue
-
-        # 1. sample utilization: a reflected random walk over keyed uniform
-        # draws, so the trace for (seed, vm, frame) is policy-independent
-        ids = host.resident_vms
-        residents = list(map(state_of, ids))
-        if sampler is None:
-            utilizations = walk_residents(ids, frame, current, previous)
-        else:
-            utilizations = [sampler(vm_id, frame) for vm_id in ids]
-        demands = [u * vm.spec.requested_mips for vm, u in zip(residents, utilizations)]
+        start, end = end, end + len(host.resident_vms)
+        residents, demands = fleet[start:end], fleet_demands[start:end]
 
         # 2. proportional sharing of the summed demand, which is also the load
         # that energy is charged from, so an oversubscribed host is exactly at
@@ -328,7 +337,24 @@ def run_lockstep(runs, sampler=None):
     power states and energy.  Returns each run's RunMetrics, in order; they
     equal those of independent runs.  Raises ``StalledRunError`` when a run
     reaches MAX_FRAMES frames or a frame advances none of its VMs' work.
+
+    It raises the first of those before the first frame when some VM cannot
+    finish in the frames left, ``F``, unless no VM's work can change in a
+    frame at all, which the first frame reports.  A VM's share never exceeds
+    its requested MIPS ``r``, so it needs at least ``W / (r * dt)`` frames
+    for its remaining work ``W``.  Rounding cannot rescue it: each frame's
+    ``left - work`` errs by at most ``2**-53 * W``, so a VM that does finish
+    in ``F`` frames has a computed ratio of at most ``F * (1 + F * 2**-52)``,
+    within ``F * (1 + 1e-9)`` for any ``F <= MAX_FRAMES``.
     """
+    for state, scenario in runs:
+        frames = (MAX_FRAMES - state.frame_index) * (1 + 1e-9)
+        dt, vms = scenario.frame_seconds, state.active.values()
+        stuck = sum(vm.remaining_work_mi / (vm.spec.requested_mips * dt) > frames for vm in vms)
+        if stuck and any(vm.remaining_work_mi - vm.spec.requested_mips * dt
+                         < vm.remaining_work_mi for vm in vms):
+            raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
+                                  "unfinished; use longer frames" % (MAX_FRAMES, stuck))
     passes = []  # (the run that holds the VM states, the runs that share its pass)
     for run in runs:
         if not run[0].active:

@@ -12,8 +12,12 @@ workloads even when they migrate, complete, or power-manage
 differently, which keeps cross-policy comparisons pointwise meaningful.
 """
 
+import sys
+from array import array
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _mix64(z: int) -> int:
@@ -76,32 +80,65 @@ class SeededRng:
         A VM already in ``current`` is read from it.  Any other is drawn and
         stored there: at frame 0 its keyed draw ``keyed_u01(vm, 0)`` itself,
         later ``walk_utilization(previous[vm], keyed_u01(vm, frame),
-        DEFAULT_UTIL_STEP)``.  Those integer and float operations are spelled
-        out inline: the frame's key is folded once per call, and each VM's
-        first-key mix is computed once per generator and kept.
+        DEFAULT_UTIL_STEP)``; ``previous`` is only read.  Each VM's first-key
+        mix is computed once per generator and kept; the frame's key is folded
+        into all of them in one ``_top_bits`` batch, and the walk's float
+        operations are spelled out inline (``b * 2.0 ** -52`` is exactly
+        ``2.0 * draw``).
         """
-        mask, step = _MASK64, DEFAULT_UTIL_STEP
-        fold = (frame * _GOLDEN) & mask
-        first_mix = self._first_mix
-        values = []
-        for vm_id in vm_ids:
-            u = current.get(vm_id)
-            if u is None:
-                h = first_mix.get(vm_id)
-                if h is None:
-                    h = first_mix[vm_id] = _mix_key(self._mixed_seed, vm_id)
-                z = h ^ fold
-                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-                u = ((z ^ (z >> 31)) >> 11) * (2.0 ** -53)
-                if frame:
+        drawn = [vm_id for vm_id in vm_ids if vm_id not in current]
+        if drawn:
+            first_mix = self._first_mix
+            for vm_id in drawn:
+                if vm_id not in first_mix:
+                    first_mix[vm_id] = _mix_key(self._mixed_seed, vm_id)
+            bits = _top_bits(list(map(first_mix.__getitem__, drawn)),
+                             (frame * _GOLDEN) & _MASK64)
+            if frame:
+                step = DEFAULT_UTIL_STEP
+                for vm_id, b in zip(drawn, bits):
                     # walk_utilization, then reflect_unit
-                    u = (previous[vm_id] + step * (2.0 * u - 1.0)) % 2.0
-                    if u > 1.0:
-                        u = 2.0 - u
-                current[vm_id] = u
-            values.append(u)
-        return values
+                    u = (previous[vm_id] + step * (b * 2.0 ** -52 - 1.0)) % 2.0
+                    current[vm_id] = 2.0 - u if u > 1.0 else u
+            else:
+                for vm_id, b in zip(drawn, bits):
+                    current[vm_id] = b * 2.0 ** -53
+        return list(map(current.__getitem__, vm_ids))
+
+
+# Words per packed integer in ``_top_bits``.  Each word has a 128-bit lane of
+# its own, so a 64 x 64-bit product stays inside its lane.
+_LANES = 512
+_LOW64 = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")  # each lane's low half
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")  # 1 in each lane
+
+
+def _top_bits(words, fold: int) -> list:
+    """``[_mix64(w ^ fold) >> 11 for w in words]``, for 64-bit ``words`` and ``fold``.
+
+    Up to ``_LANES`` words at a time are packed, little-endian, into the low
+    halves of the 128-bit lanes of one integer, so each splitmix64 step is a
+    few whole-integer operations.  A right shift brings the next lane's low
+    bits into a lane's high half, so the lanes are masked to their low halves
+    after every shift and before every multiply.
+    """
+    top = []
+    for start in range(0, len(words), _LANES):
+        chunk = words[start:start + _LANES]
+        size = 16 * len(chunk)
+        packed = array("Q", bytes(size))
+        packed[::2] = array("Q", chunk)
+        if _BIG_ENDIAN:
+            packed.byteswap()
+        z = int.from_bytes(packed, "little") ^ fold * (_ONES >> 128 * (_LANES - len(chunk)))
+        # ``_LOW64`` has ``_LANES`` lanes, but ``&`` keeps only the lanes ``z`` has
+        z = ((z ^ (z >> 30)) & _LOW64) * 0xBF58476D1CE4E5B9 & _LOW64
+        z = ((z ^ (z >> 27)) & _LOW64) * 0x94D049BB133111EB & _LOW64
+        packed = array("Q", ((z ^ (z >> 31)) >> 11 & _LOW64).to_bytes(size, "little"))
+        if _BIG_ENDIAN:
+            packed.byteswap()
+        top += packed[::2].tolist()
+    return top
 
 
 def utilization_at(seed: int, vm_id: int, frame_index: int) -> float:

@@ -260,6 +260,14 @@ def test_bad_flag_value_exits_1():
     assert exc.value.code == 1
 
 
+def test_out_of_memory_exits_1(capsys, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    assert main(["--policy", "DVFS", "--runs", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+
+
 def test_infeasible_scenario_exits_2(capsys):
     rc = main(["--policy", "NPA", "--hosts", "1", "--vms", "24", "--runs", "1"])
     assert rc == 2

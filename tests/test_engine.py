@@ -13,6 +13,7 @@ from dcsim import (InfeasibleScenarioError, SimulationState, StalledRunError, Wo
                    default_paper_scenario, initial_placement, power, share_mips, simulate,
                    step)
 from dcsim.model import HostSpec, HostState, PolicyConfig, Scenario, VmSpec, VmState
+from dcsim.power import accumulate
 from dcsim.workload import SeededRng, child_rng
 
 
@@ -262,20 +263,24 @@ def test_empty_npa_host_draws_peak_power():
 
 
 def test_empty_hosts_are_neither_shared_nor_powered(monkeypatch):
-    seen = []
-    for name in ("share_mips", "host_power", "accumulate"):
-        original = getattr(engine, name)
+    shared = []
 
-        def spy(*args, original=original, name=name):
-            seen.append(name)
-            return original(*args)
-        monkeypatch.setattr(engine, name, spy)
-    # one VM on host 0; hosts 1 to 3 are empty, and host 1 is on
+    def spy(host, demands, load):
+        shared.append(host.spec.id)
+        return share_mips(host, demands, load)
+    monkeypatch.setattr(engine, "share_mips", spy)
+    # one VM on host 0; hosts 1 to 3 are empty, host 1 is on and 2 and 3 are off
     sc = small_scenario(policy="DVFS", n_hosts=4, vm_mips=(250.0,))
     state = initial_placement(sc)
     state.hosts[1].powered_on = True
+    assert [h.powered_on for h in state.hosts] == [True, True, False, False]
     step(state, sc, sampler=pinned(1.0))
-    assert seen == ["share_mips", "host_power", "accumulate"]
+    assert shared == [0]
+    # host 0 at its load, then host 1's idle draw, and nothing for hosts 2 and 3
+    spec = sc.hosts[0]
+    expected = accumulate(accumulate(0.0, power(spec, 250.0 / 1000.0), 60.0),
+                          power(spec, 0.0), 60.0)
+    assert state.frames[0].energy_wh == state.energy_wh == expected
 
 
 def test_frame_that_advances_no_work_stops_the_run():
@@ -292,6 +297,24 @@ def test_run_stops_at_the_frame_limit(monkeypatch):
     monkeypatch.setattr(engine, "MAX_FRAMES", 9)
     with pytest.raises(StalledRunError, match="limit of 9 frames with 1 VM"):
         simulate(sc, sampler=pinned(1.0))
+
+
+def test_run_that_cannot_finish_stops_before_its_first_frame(monkeypatch):
+    # at full load the VM needs exactly 10 frames of 60 s, so with 9 allowed
+    # nothing is sampled
+    sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
+    monkeypatch.setattr(engine, "MAX_FRAMES", 9)
+    frames = []
+    with pytest.raises(StalledRunError, match="limit of 9 frames with 1 VM"):
+        simulate(sc, sampler=lambda vm_id, frame: frames.append(frame) or 1.0)
+    assert frames == []
+    # a VM just over 10 frames' work is within the rounding margin, so the
+    # run is stopped at the limit, not before
+    sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,), work=150000.0 * (1 + 1e-10))
+    monkeypatch.setattr(engine, "MAX_FRAMES", 10)
+    with pytest.raises(StalledRunError, match="limit of 10 frames with 1 VM"):
+        simulate(sc, sampler=lambda vm_id, frame: frames.append(frame) or 1.0)
+    assert frames == list(range(10))
 
 
 def test_runs_sharing_a_trace_must_step_in_lockstep():

@@ -1,10 +1,12 @@
 """Seeded RNG, keyed sampling, and the reflected utilization walk."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsim.workload import (DEFAULT_UTIL_STEP, SeededRng, child_rng, reflect_unit,
-                            utilization_at, utilization_walk, walk_utilization)
+from dcsim.workload import (DEFAULT_UTIL_STEP, SeededRng, _mix64, _top_bits, child_rng,
+                            reflect_unit, utilization_at, utilization_walk, walk_utilization)
 
 
 def test_same_seed_same_stream():
@@ -111,6 +113,23 @@ _units = st.floats(0.0, 1.0)
 def test_resident_batch_equals_keyed_draws_walked(seed, vm_ids, frame, data):
     previous = {v: data.draw(_units) for v in vm_ids}
     filled = data.draw(st.dictionaries(st.sampled_from(vm_ids), _units)) if vm_ids else {}
+    _check_batch(seed, vm_ids, frame, previous, filled)
+
+
+@pytest.mark.parametrize("frame", [0, 7])
+def test_resident_batch_over_several_packed_integers_equals_keyed_draws_walked(frame):
+    # 1400 ids, 100 of them repeats; the 1173 not filled in are drawn in three
+    # packed integers of up to 512 words
+    rng = random.Random(21)
+    vm_ids = [rng.randrange(-2 ** 70, 2 ** 70) for _ in range(1300)]
+    vm_ids += rng.sample(vm_ids, 100)
+    rng.shuffle(vm_ids)
+    previous = {v: rng.random() for v in vm_ids}
+    filled = {v: rng.random() for v in rng.sample(vm_ids, 200)}
+    _check_batch(2 ** 64 - 1, vm_ids, frame, previous, filled)
+
+
+def _check_batch(seed, vm_ids, frame, previous, filled):
     expected = dict(filled)  # a VM already drawn at this frame is read, not drawn again
     for v in vm_ids:
         if v not in expected:
@@ -122,6 +141,22 @@ def test_resident_batch_equals_keyed_draws_walked(seed, vm_ids, frame, data):
     assert values == [expected[v] for v in vm_ids]
     assert current == expected
     assert previous == previous_before
+
+
+_words = st.integers(0, 2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 511, 512, 513, 1025])
+@pytest.mark.parametrize("fold", [0, 2 ** 64 - 1, 0x9E3779B97F4A7C15 * 5 % 2 ** 64])
+def test_packed_mix_equals_the_scalar_mix_word_by_word(length, fold):
+    rng = random.Random(length)
+    words = ([0, 2 ** 64 - 1] + [rng.getrandbits(64) for _ in range(length)])[:length]
+    assert _top_bits(words, fold) == [_mix64(w ^ fold) >> 11 for w in words]
+
+
+@given(st.lists(_words, max_size=20), _words)
+def test_packed_mix_equals_the_scalar_mix(words, fold):
+    assert _top_bits(words, fold) == [_mix64(w ^ fold) >> 11 for w in words]
 
 
 @given(st.integers(-2 ** 70, 2 ** 70), _ids, _ids, st.integers(0, 2 ** 66))
