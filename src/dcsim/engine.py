@@ -3,8 +3,9 @@
 Each frame samples the utilization of every resident of the fleet in one
 call, host by host in resident order.  Then it goes once over the hosts in
 fleet order: for each host with VMs it sums their demands once, shares the
-host's MIPS proportionally, records SLA measurements and advances each VM's
-work (finished VMs leave the fleet).  Then the frame's energy is charged
+host's MIPS proportionally and records SLA measurements.  Then it goes once
+over the residents, in the same order, and advances each VM's work
+(finished VMs leave the fleet).  Then the frame's energy is charged
 host by host from those loads: a loaded host's linear power at its load,
 inline, and each run's constant draws (NPA's peak, an empty host's idle)
 from terms computed once per run.  Last the policy is invoked, its migration
@@ -17,6 +18,7 @@ its own meter.
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import mul
 
 from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, PlacementPlan,
                     RunMetrics, Scenario, VmState, add_up)
@@ -53,32 +55,35 @@ class WorkloadTrace:
 
     Runs under one seed that share a trace, and step frame ``f`` before any
     of them steps ``f + 1``, see one workload: the first to need a VM at a
-    frame draws it, the others read it.  It holds two values per VM, however
-    many frames or runs read it.
+    frame draws it, the others read it.  It holds two values per VM, in two
+    lists indexed by VM id (``current[v]`` is None until VM ``v`` is drawn
+    at ``frame``), however many frames or runs read it; the first step of a
+    frame sizes ``current`` to the fleet.
     """
 
     __slots__ = ("frame", "current", "previous")
 
     def __init__(self):
         self.frame = 0
-        self.current = {}  # vm id -> utilization at ``frame``
-        self.previous = {}  # vm id -> utilization at ``frame - 1``
+        self.current = []  # utilization at ``frame``, by vm id
+        self.previous = []  # utilization at ``frame - 1``, by vm id
 
 
 @dataclass
 class SimulationState:
     frame_index: int
     hosts: list  # hosts[i] has id i, as in the Scenario
-    vms: list  # every VM of the fleet, finished ones included
+    vms: list  # vms[i] has id i: every VM of the fleet, finished ones included
     rng: SeededRng
     # vm id -> VmState for every VM with work left; a VM leaves when it finishes
     active: dict = field(default_factory=dict)
     energy_wh: float = 0.0
     frames: list = field(default_factory=list)
     trace: WorkloadTrace = field(default_factory=WorkloadTrace)
-    # the hosts' constant draws per frame (``_constant``), set when the run
-    # is first stepped
+    # the run's per-frame constants (``_constant``), set when it is first stepped
     constant: tuple = None
+    # whether the latest step changed any VM's remaining work
+    _advanced: bool = False
 
 
 def place_fleet(scenario: Scenario) -> PlacementPlan:
@@ -149,18 +154,20 @@ def share_mips(host: HostState, demands, load: float) -> list:
 
 
 def _constant(hosts, scenario):
-    """(NPA or not, frame seconds, each host's constant draw per frame in Wh).
+    """(NPA or not, frame seconds, draws, coefficients, requested MIPS).
 
-    The draws are in fleet order.  Under NPA each is the host's peak draw,
-    which it is charged whatever its load; otherwise its idle draw, which it
-    is charged while on and empty.
+    In fleet order, each host's constant draw per frame in Wh (under NPA its
+    peak draw, which it is charged whatever its load; otherwise its idle
+    draw, which it is charged while on and empty), and its ``k * p_max``,
+    ``(1.0 - k) * p_max`` and MIPS capacity; then each VM's requested MIPS,
+    by VM id.
     """
     npa, dt = scenario.policy.kind == "NPA", scenario.frame_seconds
-    if npa:
-        terms = [h.spec.p_max_watts * dt / 3600.0 for h in hosts]
-    else:
-        terms = [power(h.spec, 0.0) * dt / 3600.0 for h in hosts]
-    return npa, dt, terms
+    specs = [h.spec for h in hosts]
+    draws = [(s.p_max_watts if npa else power(s, 0.0)) * dt / 3600.0 for s in specs]
+    coefficients = [(s.idle_fraction * s.p_max_watts, (1.0 - s.idle_fraction) * s.p_max_watts,
+                     s.mips_capacity) for s in specs]
+    return npa, dt, draws, coefficients, [v.requested_mips for v in scenario.vms]
 
 
 def _charge(total_wh, hosts, loads, constant, dt):
@@ -172,25 +179,25 @@ def _charge(total_wh, hosts, loads, constant, dt):
     whatever its load.  Otherwise a host that is off adds nothing, an empty
     one that is on its idle term, and a loaded one ``(k * p_max + (1.0 - k)
     * p_max * min(1.0, load / capacity)) * dt / 3600.0``, the operations of
-    ``host_power`` and ``accumulate`` spelled out inline.  Every term is
-    ``p * dt / 3600.0``, as ``accumulate`` forms it, and the terms are added
-    one by one, so the float sum keeps its order and bits.
+    ``host_power`` and ``accumulate`` spelled out inline (``u if u < 1.0
+    else 1.0`` is ``min(1.0, u)``, NaN included).  Every term is ``p * dt /
+    3600.0``, as ``accumulate`` forms it, and the terms are added one by
+    one, so the float sum keeps its order and bits.
     """
-    npa, _, terms = constant
+    npa, _, draws, coefficients, _ = constant
     if npa:
-        for wh in terms:
+        for wh in draws:
             total_wh += wh
         return total_wh
-    for host, load, wh in zip(hosts, loads, terms):
+    for host, load, wh, terms in zip(hosts, loads, draws, coefficients):
         if not host.powered_on:
             continue
         if load is None:
             total_wh += wh
         else:
-            spec = host.spec
-            k, p_max = spec.idle_fraction, spec.p_max_watts
-            total_wh += (k * p_max + (1.0 - k) * p_max * min(1.0, load / spec.mips_capacity)
-                         ) * dt / 3600.0
+            idle, span, capacity = terms
+            u = load / capacity
+            total_wh += (idle + span * (u if u < 1.0 else 1.0)) * dt / 3600.0
     return total_wh
 
 
@@ -202,7 +209,10 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
     a VM's utilization at frame ``f`` is read from ``state.trace`` when a run
     sharing the trace has drawn it; otherwise it is the keyed draw for
     (vm, f), walked on from the VM's value at ``f - 1``, and is stored there.
-    Raises ``RuntimeError`` when runs sharing the trace fall out of lockstep.
+    The first step of a frame turns the trace over to it, with ``current``
+    one None per VM of ``state.vms``.  Raises ``RuntimeError`` when runs
+    sharing the trace fall out of lockstep.  Each VM's demand is its
+    utilization times its requested MIPS, in that order, as a C-level map.
 
     ``sampler`` overrides utilization sampling for tests: a callable
     (vm_id, frame_index) -> fraction in [0, 1], called host by host in
@@ -212,7 +222,10 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
     Each host with VMs has its demands summed once, left to right; that
     load goes to ``share_mips`` and to the energy charge (``_charge``).  A
     host with no residents is not shared, and its draw, like every NPA
-    host's, is the run's constant term, computed once per run.
+    host's, is the run's constant term, computed once per run.  Then one
+    loop over the residents, in the same order, advances their work, and
+    the step records in ``state._advanced`` whether any VM's remaining
+    work changed, a VM finishing included.
 
     ``sharing`` lists static (state, scenario) runs that hold this run's
     VM states and host resident lists, as ``run_lockstep`` arranges; this
@@ -224,17 +237,21 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
     if sharing and any(sc.policy.kind not in STATIC_KINDS for _, sc in runs):
         raise ValueError("only static runs can share a frame pass")
     dt = scenario.frame_seconds
+    for run, run_scenario in runs:
+        if run.constant is None or run.constant[:2] != (run_scenario.policy.kind == "NPA", dt):
+            run.constant = _constant(run.hosts, run_scenario)
     frame = state.frame_index
     active = state.active
     trace = state.trace
-    if trace.frame != frame:
+    if trace.frame != frame or len(trace.current) != len(state.vms):
         if frame != 0 and frame != trace.frame + 1:
             raise RuntimeError("a run at frame %d shares a workload trace at frame %d"
                                % (frame, trace.frame))
-        trace.frame, trace.previous, trace.current = frame, trace.current, {}
+        trace.frame, trace.previous, trace.current = frame, trace.current, [None] * len(state.vms)
     measurements = len(active)
     violations = 0
     shortfall_sum = 0.0
+    advanced = False  # whether any VM's remaining work has changed
 
     # 1. sample utilization, the whole fleet's residents in one batch, host
     # by host in resident order: a reflected random walk over keyed uniform
@@ -244,8 +261,14 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
         utilizations = state.rng.walk_residents(ids, frame, trace.current, trace.previous)
     else:
         utilizations = [sampler(vm_id, frame) for vm_id in ids]
-    fleet = list(map(active.__getitem__, ids))
-    fleet_demands = [u * vm.spec.requested_mips for vm, u in zip(fleet, utilizations)]
+    fleet = list(map(state.vms.__getitem__, ids))
+    fleet_demands = list(map(mul, utilizations, map(state.constant[4].__getitem__, ids)))
+
+    # 2. proportional sharing of each host's summed demand, which is also the
+    # load that energy is charged from, so an oversubscribed host is exactly
+    # at full load; SLA accounting, host by host in resident order, where a
+    # share falls short
+    fleet_alloc = fleet_demands
     loads = []  # each host's load in MIPS, or None when it has no residents
     end = 0
     for host in state.hosts:
@@ -253,45 +276,46 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
             loads.append(None)
             continue
         start, end = end, end + len(host.resident_vms)
-        residents, demands = fleet[start:end], fleet_demands[start:end]
-
-        # 2. proportional sharing of the summed demand, which is also the load
-        # that energy is charged from, so an oversubscribed host is exactly at
-        # full load
+        demands = fleet_demands[start:end]
         load = add_up(demands)
         loads.append(load)
         alloc = share_mips(host, demands, load)
+        if alloc is not demands:
+            for d, a in zip(demands, alloc):
+                if a < d:
+                    violations += 1
+                    shortfall_sum += (d - a) / d
+            if fleet_alloc is fleet_demands:
+                fleet_alloc = fleet_demands[:]
+            fleet_alloc[start:end] = alloc
 
-        # 3. SLA accounting and work, in resident order; ``residents`` is a
-        # list of its own, so finished VMs can leave the host while it is read.
-        # A VM whose share covers its remaining work finishes with exactly 0.0
-        # left; any other keeps ``left - work``, which is above zero.
-        for vm, d, a in zip(residents, demands, alloc):
-            vm.demand_mips = d
-            if a < d:
-                violations += 1
-                shortfall_sum += (d - a) / d
-            work, left = a * dt, vm.remaining_work_mi
-            if work < left:
-                vm.remaining_work_mi = left - work
-            else:
-                vm.remaining_work_mi = 0.0
-                vm_id = vm.spec.id
-                host.resident_vms.remove(vm_id)
-                vm.host_id = None
-                vm.demand_mips = 0.0
-                del active[vm_id]
+    # 3. work, in the same order; finished VMs leave their hosts.  A VM whose
+    # share covers its remaining work finishes with exactly 0.0 left; any
+    # other keeps ``left - work``, which is above zero.
+    for vm, d, a in zip(fleet, fleet_demands, fleet_alloc):
+        vm.demand_mips = d
+        work, left = a * dt, vm.remaining_work_mi
+        if work < left:
+            vm.remaining_work_mi = left - work
+            if not advanced:
+                advanced = left - work != left
+        else:
+            advanced = True
+            vm.remaining_work_mi = 0.0
+            vm_id = vm.spec.id
+            state.hosts[vm.host_id].resident_vms.remove(vm_id)
+            vm.host_id = None
+            vm.demand_mips = 0.0
+            del active[vm_id]
 
     # 4. each run's energy, from the loads and the power states in force
     # during the frame
     frame_wh = []
-    for run, run_scenario in runs:
-        constant = run.constant
-        if constant is None or constant[:2] != (run_scenario.policy.kind == "NPA", dt):
-            constant = run.constant = _constant(run.hosts, run_scenario)
+    for run, _ in runs:
         before = run.energy_wh
-        run.energy_wh = _charge(before, run.hosts, loads, constant, dt)
+        run.energy_wh = _charge(before, run.hosts, loads, run.constant, dt)
         frame_wh.append(run.energy_wh - before)
+    state._advanced = advanced
 
     # 5. policy reallocation, applied atomically
     plan = policies.reallocate(scenario.policy, state.hosts, active, state.rng)
@@ -336,7 +360,8 @@ def run_lockstep(runs, sampler=None):
     ``sampler``, if given, once per VM and frame), while each keeps its own
     power states and energy.  Returns each run's RunMetrics, in order; they
     equal those of independent runs.  Raises ``StalledRunError`` when a run
-    reaches MAX_FRAMES frames or a frame advances none of its VMs' work.
+    reaches MAX_FRAMES frames or a frame advances none of its VMs' work, as
+    the step records it (for a shared pass, in the state of its first run).
 
     It raises the first of those before the first frame when some VM cannot
     finish in the frames left, ``F``, unless no VM's work can change in a
@@ -372,10 +397,8 @@ def run_lockstep(runs, sampler=None):
                 raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
                                       "unfinished; use longer frames"
                                       % (MAX_FRAMES, len(state.active)))
-            work = [vm.remaining_work_mi for vm in state.active.values()]
             step(state, scenario, sampler=sampler, sharing=sharing)
-            if len(state.active) == len(work) and all(
-                    vm.remaining_work_mi == w for vm, w in zip(state.active.values(), work)):
+            if not state._advanced:
                 raise StalledRunError("frame %d advanced no VM's remaining work; the run "
                                       "cannot end" % (state.frame_index - 1))
         passes = [p for p in passes if p[0][0].active]

@@ -48,9 +48,9 @@ class SeededRng:
         self.seed = seed & _MASK64
         self._mixed_seed = _mix64(self.seed)
         self._counter = 0
-        # vm id -> _mix_key(mixed seed, vm id), for ``walk_residents``; one entry
-        # per VM in a run
-        self._first_mix = {}
+        # each VM's _mix_key(mixed seed, vm id) as a ``_top_bits`` lane, by vm
+        # id, for ``walk_residents``
+        self._first_mix = []
 
     def next_u64(self) -> int:
         self._counter += 1
@@ -74,36 +74,49 @@ class SeededRng:
         """
         return _to_unit(_mix_key(self._mixed_seed, *keys))
 
-    def walk_residents(self, vm_ids, frame: int, current: dict, previous: dict) -> list:
+    def walk_residents(self, vm_ids, frame: int, current: list, previous: list) -> list:
         """Each VM's walked utilization at ``frame``, in the order of ``vm_ids``.
 
-        A VM already in ``current`` is read from it.  Any other is drawn and
-        stored there: at frame 0 its keyed draw ``keyed_u01(vm, 0)`` itself,
-        later ``walk_utilization(previous[vm], keyed_u01(vm, frame),
-        DEFAULT_UTIL_STEP)``; ``previous`` is only read.  Each VM's first-key
-        mix is computed once per generator and kept; the frame's key is folded
-        into all of them in one ``_top_bits`` batch, and the walk's float
-        operations are spelled out inline (``b * 2.0 ** -52`` is exactly
-        ``2.0 * draw``).
+        ``current`` and ``previous`` are lists indexed by VM id, an id being
+        a position in the fleet, and ``current`` holds None for a VM not yet
+        drawn at ``frame``.  A VM already drawn is read from ``current``.
+        Any other is drawn and stored there: at frame 0 its keyed draw
+        ``keyed_u01(vm, 0)`` itself, later ``walk_utilization(previous[vm],
+        keyed_u01(vm, frame), DEFAULT_UTIL_STEP)``; ``previous`` is only read.
+        Each VM's first-key mix is computed once per generator and kept; the
+        frame's key is folded into all of them in one ``_top_bits`` batch,
+        and the walk's float operations are spelled out inline (``b * 2.0 **
+        -52`` is exactly ``2.0 * draw``).  When nothing in ``current`` is
+        drawn yet, as on a frame's first pass, every VM is drawn and the
+        values drawn are returned as they are.
         """
-        drawn = [vm_id for vm_id in vm_ids if vm_id not in current]
-        if drawn:
-            first_mix = self._first_mix
-            for vm_id in drawn:
-                if vm_id not in first_mix:
-                    first_mix[vm_id] = _mix_key(self._mixed_seed, vm_id)
-            bits = _top_bits(list(map(first_mix.__getitem__, drawn)),
-                             (frame * _GOLDEN) & _MASK64)
-            if frame:
-                step = DEFAULT_UTIL_STEP
-                for vm_id, b in zip(drawn, bits):
-                    # walk_utilization, then reflect_unit
-                    u = (previous[vm_id] + step * (b * 2.0 ** -52 - 1.0)) % 2.0
-                    current[vm_id] = 2.0 - u if u > 1.0 else u
-            else:
-                for vm_id, b in zip(drawn, bits):
-                    current[vm_id] = b * 2.0 ** -53
-        return list(map(current.__getitem__, vm_ids))
+        first_mix = self._first_mix
+        if len(first_mix) < len(current):
+            first_mix += [_mix_key(self._mixed_seed, v).to_bytes(16, "little")
+                          for v in range(len(first_mix), len(current))]
+        # nothing drawn yet, as on a frame's first pass (the first id settles
+        # most later passes)
+        if vm_ids and current[vm_ids[0]] is None and current.count(None) == len(current):
+            drawn = vm_ids
+        else:
+            drawn = [v for v in vm_ids if current[v] is None]
+            if not drawn:
+                return list(map(current.__getitem__, vm_ids))
+        bits = _top_bits(b"".join(map(first_mix.__getitem__, drawn)), (frame * _GOLDEN) & _MASK64)
+        values = []
+        append = values.append
+        if frame:
+            step = DEFAULT_UTIL_STEP
+            for vm_id, b in zip(drawn, bits):
+                # walk_utilization, then reflect_unit
+                u = (previous[vm_id] + step * (b * 2.0 ** -52 - 1.0)) % 2.0
+                current[vm_id] = u = 2.0 - u if u > 1.0 else u
+                append(u)
+        else:
+            for vm_id, b in zip(drawn, bits):
+                current[vm_id] = u = b * 2.0 ** -53
+                append(u)
+        return values if drawn is vm_ids else list(map(current.__getitem__, vm_ids))
 
 
 # Words per packed integer in ``_top_bits``.  Each word has a 128-bit lane of
@@ -113,28 +126,24 @@ _LOW64 = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")  # each lan
 _ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")  # 1 in each lane
 
 
-def _top_bits(words, fold: int) -> list:
+def _top_bits(lanes: bytes, fold: int) -> list:
     """``[_mix64(w ^ fold) >> 11 for w in words]``, for 64-bit ``words`` and ``fold``.
 
-    Up to ``_LANES`` words at a time are packed, little-endian, into the low
-    halves of the 128-bit lanes of one integer, so each splitmix64 step is a
-    few whole-integer operations.  A right shift brings the next lane's low
-    bits into a lane's high half, so the lanes are masked to their low halves
-    after every shift and before every multiply.
+    ``lanes`` holds the words, each in a 16-byte lane of its own: the word
+    little-endian, then 8 zero bytes.  Up to ``_LANES`` lanes at a time make
+    one integer, so each splitmix64 step is a few whole-integer operations.
+    A right shift brings the next lane's low bits into a lane's high half,
+    so the lanes are masked to their low halves after every shift and
+    before every multiply.
     """
     top = []
-    for start in range(0, len(words), _LANES):
-        chunk = words[start:start + _LANES]
-        size = 16 * len(chunk)
-        packed = array("Q", bytes(size))
-        packed[::2] = array("Q", chunk)
-        if _BIG_ENDIAN:
-            packed.byteswap()
-        z = int.from_bytes(packed, "little") ^ fold * (_ONES >> 128 * (_LANES - len(chunk)))
+    for start in range(0, len(lanes), 16 * _LANES):
+        chunk = lanes[start:start + 16 * _LANES]
+        z = int.from_bytes(chunk, "little") ^ fold * (_ONES >> 8 * (16 * _LANES - len(chunk)))
         # ``_LOW64`` has ``_LANES`` lanes, but ``&`` keeps only the lanes ``z`` has
         z = ((z ^ (z >> 30)) & _LOW64) * 0xBF58476D1CE4E5B9 & _LOW64
         z = ((z ^ (z >> 27)) & _LOW64) * 0x94D049BB133111EB & _LOW64
-        packed = array("Q", ((z ^ (z >> 31)) >> 11 & _LOW64).to_bytes(size, "little"))
+        packed = array("Q", ((z ^ (z >> 31)) >> 11 & _LOW64).to_bytes(len(chunk), "little"))
         if _BIG_ENDIAN:
             packed.byteswap()
         top += packed[::2].tolist()

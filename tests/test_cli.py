@@ -1,5 +1,6 @@
 """Config parsing, report rendering, and the command line interface."""
 
+import contextlib
 import csv
 import io
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -415,10 +417,12 @@ def test_run_past_the_frame_limit_exits_1():
         "frames" % MAX_FRAMES]
 
 
-# The parse half of the command line, over generated config text and flags:
-# every input must end in a spec, a ValueError (ConfigError included) or
-# argparse's exit 1.  Nothing is simulated.  Values are at most three
-# characters, so no generated fleet has more than 999 hosts or VMs.
+# The command line over generated config text and flags.  Parsing must end
+# in a spec, a ValueError (ConfigError included) or argparse's exit 1; the
+# whole command, run in-process under a small MAX_FRAMES so that it also
+# simulates what it parses, must exit 0, 1 or 2 without a traceback.  Values
+# are at most three characters, so no generated fleet has more than 999
+# hosts or VMs.
 _values = st.one_of(
     st.text(alphabet="0123456789.-+e_:, naifx", max_size=3),
     st.sampled_from(["0", "-1", "1", "42", "30", "0.3", "0.7", "1e9", "nan", "inf",
@@ -448,6 +452,16 @@ def _parse_outcome(parse):
     return "spec"
 
 
+def _exit_code(argv):
+    """The exit code of ``main(argv)``, run in-process with its output captured."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_config_lines, max_size=8), _flags, st.booleans())
 def test_front_end_ends_in_a_spec_or_a_clean_error(lines, flags, with_config):
@@ -461,3 +475,12 @@ def test_front_end_ends_in_a_spec_or_a_clean_error(lines, flags, with_config):
             argv = ["--config", str(cfg)] + argv
         event("flags: " + _parse_outcome(
             lambda: _spec_from_args(build_parser().parse_args(argv))))
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a relative --out lands here
+        try:
+            with mock.patch.object(engine, "MAX_FRAMES", 3):
+                code = _exit_code(argv)
+        finally:
+            os.chdir(cwd)
+    event("main: exit %s" % code)
+    assert code in (0, 1, 2)

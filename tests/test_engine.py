@@ -289,6 +289,41 @@ def test_frame_that_advances_no_work_stops_the_run():
         simulate(sc, sampler=pinned(0.0))
 
 
+def test_a_frame_that_advances_nothing_after_one_that_did_stops_the_run():
+    sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
+    with pytest.raises(StalledRunError, match="frame 1 advanced no VM's remaining work"):
+        simulate(sc, sampler=lambda vm_id, frame: 1.0 if frame == 0 else 0.0)
+
+
+def test_a_vm_finishing_at_exactly_zero_is_progress():
+    # VM 0 does its whole 15000 MI in frame 0 (250 MIPS for 60 s) and
+    # finishes with exactly 0.0 left while VM 1 idles: frame 0 changed a VM's
+    # work, and frame 1, with only the idle VM left, changed none
+    sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0, 250.0), work=15000.0)
+    state = initial_placement(sc)
+    with pytest.raises(StalledRunError, match="frame 1 advanced no VM's remaining work"):
+        engine.run_lockstep([(state, sc)], sampler=lambda vm_id, frame: float(vm_id == 0))
+    assert state.frame_index == 2
+    assert state.vms[0].remaining_work_mi == 0.0 and list(state.active) == [1]
+
+
+def test_a_shared_static_pass_stalls_as_a_run_of_its_own():
+    def sampler(vm_id, frame):
+        return 1.0 if frame < 2 else 0.0
+    sc = small_scenario(policy="DVFS", n_hosts=2, vm_mips=(250.0, 500.0))
+    with pytest.raises(StalledRunError) as alone:
+        simulate(sc, sampler=sampler)
+    trace = WorkloadTrace()
+    scenarios = [replace(sc, policy=PolicyConfig(kind)) for kind in ("NPA", "DVFS")]
+    runs = [(initial_placement(s, trace=trace), s) for s in scenarios]
+    with pytest.raises(StalledRunError) as shared:
+        engine.run_lockstep(runs, sampler=sampler)
+    assert runs[1][0].active is runs[0][0].active  # the two runs made one pass
+    assert str(shared.value) == str(alone.value) == (
+        "frame 2 advanced no VM's remaining work; the run cannot end")
+    assert [state.frame_index for state, _ in runs] == [3, 3]
+
+
 def test_run_stops_at_the_frame_limit(monkeypatch):
     # at full load the VM needs exactly 10 frames of 60 s
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
@@ -359,7 +394,7 @@ class CountingRng(SeededRng):
     """A SeededRng that counts its keyed and its sequential draws.
 
     A keyed draw is a ``keyed_u01`` call or a VM that ``walk_residents`` is
-    given and does not find in ``current``, so it must draw it.
+    given and that ``current`` holds as None, so it must draw it.
     """
 
     keyed = sequential = 0
@@ -373,7 +408,7 @@ class CountingRng(SeededRng):
         return super().keyed_u01(*keys)
 
     def walk_residents(self, vm_ids, frame, current, previous):
-        self.keyed += sum(1 for v in vm_ids if v not in current)
+        self.keyed += sum(1 for v in vm_ids if current[v] is None)
         return super().walk_residents(vm_ids, frame, current, previous)
 
 

@@ -198,8 +198,8 @@ def test_static_rows_make_one_host_pass(monkeypatch):
 
 
 def test_each_vm_frame_is_drawn_once_per_run_index(monkeypatch):
-    # a draw is a keyed_u01 call or a VM that walk_residents must draw, not
-    # finding it in the trace's ``current``
+    # a draw is a keyed_u01 call or a VM that walk_residents must draw, one
+    # that the trace's ``current`` holds as None
     draws = []
     keyed_u01, walk_residents = SeededRng.keyed_u01, SeededRng.walk_residents
 
@@ -208,7 +208,7 @@ def test_each_vm_frame_is_drawn_once_per_run_index(monkeypatch):
         return keyed_u01(rng, *keys)
 
     def counting_residents(rng, vm_ids, frame, current, previous):
-        draws.extend((rng.seed, v, frame) for v in vm_ids if v not in current)
+        draws.extend((rng.seed, v, frame) for v in vm_ids if current[v] is None)
         return walk_residents(rng, vm_ids, frame, current, previous)
 
     monkeypatch.setattr(SeededRng, "keyed_u01", counting)

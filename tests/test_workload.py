@@ -91,52 +91,74 @@ _ids = st.one_of(st.integers(-1000, 1000), st.integers(-2 ** 70, 2 ** 70),
                  st.integers(2 ** 64, 2 ** 66))
 
 
-@given(st.integers(-2 ** 70, 2 ** 70), st.lists(_ids, max_size=3), st.lists(_ids, max_size=5))
-def test_keyed_draw_equals_the_mix_chain_cached_or_not(seed, keys, earlier):
+# VM ids as walk_residents takes them: positions in a fleet, which index
+# the trace's lists
+_positions = st.integers(0, 300)
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.lists(_ids, max_size=3),
+       st.lists(_positions, max_size=5), st.lists(_positions, max_size=3))
+def test_keyed_draw_equals_the_mix_chain_cached_or_not(seed, keys, earlier, vms):
     assert SeededRng(seed).keyed_u01(*keys) == _unit(_chain(seed, *keys))
-    # walk_residents keeps each VM's first-key mix: with that cache filled by
-    # other (and maybe the same) ids, a VM's frame-0 draw is still the chain's
+    # walk_residents keeps each VM's first-key mix: with that cache filled for
+    # other (and maybe the same) ids, over fleets of other sizes, a VM's
+    # frame-0 draw is still the chain's
     rng = SeededRng(seed)
     for first in earlier:
-        rng.walk_residents([first], 0, {}, {})
-    for vm in keys:
+        rng.walk_residents([first], 0, [None] * (first + 1), [])
+    for vm in vms:
         expected = [_unit(_chain(seed, vm, 0))]
-        assert rng.walk_residents([vm], 0, {}, {}) == expected
-        assert rng.walk_residents([vm], 0, {}, {}) == expected
+        assert rng.walk_residents([vm], 0, [None] * (vm + 1), []) == expected
+        assert rng.walk_residents([vm], 0, [None] * 302, []) == expected
 
 
 _units = st.floats(0.0, 1.0)
 
 
-@given(st.integers(-2 ** 70, 2 ** 70), st.lists(_ids, max_size=8), st.integers(0, 40),
-       st.data())
-def test_resident_batch_equals_keyed_draws_walked(seed, vm_ids, frame, data):
-    previous = {v: data.draw(_units) for v in vm_ids}
-    filled = data.draw(st.dictionaries(st.sampled_from(vm_ids), _units)) if vm_ids else {}
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(1, 12), st.integers(0, 40), st.data())
+def test_resident_batch_equals_keyed_draws_walked(seed, size, frame, data):
+    # repeats allowed; with nothing pre-filled, every id is drawn (a frame's
+    # first pass), otherwise only those not yet in ``current``
+    vm_ids = data.draw(st.lists(st.integers(0, size - 1), max_size=8))
+    previous = data.draw(st.lists(_units, min_size=size, max_size=size))
+    filled = data.draw(st.dictionaries(st.integers(0, size - 1), _units))
     _check_batch(seed, vm_ids, frame, previous, filled)
 
 
 @pytest.mark.parametrize("frame", [0, 7])
 def test_resident_batch_over_several_packed_integers_equals_keyed_draws_walked(frame):
-    # 1400 ids, 100 of them repeats; the 1173 not filled in are drawn in three
-    # packed integers of up to 512 words
+    # 1400 ids of a fleet of 1300, 100 of them repeats; the 1189 ids not
+    # among the 200 VMs filled in are drawn in three packed integers of up
+    # to 512 words
+    _check_large_batch(frame, prefilled=200)
+
+
+@pytest.mark.parametrize("frame", [0, 7])
+def test_first_pass_over_several_packed_integers_equals_keyed_draws_walked(frame):
+    # the same 1400 ids with nothing drawn yet: all are drawn, repeats too
+    _check_large_batch(frame, prefilled=0)
+
+
+def _check_large_batch(frame, prefilled):
     rng = random.Random(21)
-    vm_ids = [rng.randrange(-2 ** 70, 2 ** 70) for _ in range(1300)]
-    vm_ids += rng.sample(vm_ids, 100)
+    vm_ids = list(range(1300)) + rng.sample(range(1300), 100)
     rng.shuffle(vm_ids)
-    previous = {v: rng.random() for v in vm_ids}
-    filled = {v: rng.random() for v in rng.sample(vm_ids, 200)}
+    previous = [rng.random() for _ in range(1300)]
+    filled = {v: rng.random() for v in rng.sample(range(1300), prefilled)}
+    assert sum(v not in filled for v in vm_ids) > 1024
     _check_batch(2 ** 64 - 1, vm_ids, frame, previous, filled)
 
 
 def _check_batch(seed, vm_ids, frame, previous, filled):
-    expected = dict(filled)  # a VM already drawn at this frame is read, not drawn again
+    expected = [None] * len(previous)
+    for v, u in filled.items():  # a VM already drawn at this frame is read, not drawn again
+        expected[v] = u
     for v in vm_ids:
-        if v not in expected:
+        if expected[v] is None:
             draw = SeededRng(seed).keyed_u01(v, frame)
             expected[v] = draw if frame == 0 else walk_utilization(
                 previous[v], draw, DEFAULT_UTIL_STEP)
-    current, previous_before = dict(filled), dict(previous)
+    current, previous_before = [filled.get(v) for v in range(len(previous))], list(previous)
     values = SeededRng(seed).walk_residents(vm_ids, frame, current, previous)
     assert values == [expected[v] for v in vm_ids]
     assert current == expected
@@ -146,17 +168,21 @@ def _check_batch(seed, vm_ids, frame, previous, filled):
 _words = st.integers(0, 2 ** 64 - 1)
 
 
+def _lanes(words):
+    return b"".join(w.to_bytes(8, "little") + bytes(8) for w in words)
+
+
 @pytest.mark.parametrize("length", [0, 1, 2, 511, 512, 513, 1025])
 @pytest.mark.parametrize("fold", [0, 2 ** 64 - 1, 0x9E3779B97F4A7C15 * 5 % 2 ** 64])
 def test_packed_mix_equals_the_scalar_mix_word_by_word(length, fold):
     rng = random.Random(length)
     words = ([0, 2 ** 64 - 1] + [rng.getrandbits(64) for _ in range(length)])[:length]
-    assert _top_bits(words, fold) == [_mix64(w ^ fold) >> 11 for w in words]
+    assert _top_bits(_lanes(words), fold) == [_mix64(w ^ fold) >> 11 for w in words]
 
 
 @given(st.lists(_words, max_size=20), _words)
 def test_packed_mix_equals_the_scalar_mix(words, fold):
-    assert _top_bits(words, fold) == [_mix64(w ^ fold) >> 11 for w in words]
+    assert _top_bits(_lanes(words), fold) == [_mix64(w ^ fold) >> 11 for w in words]
 
 
 @given(st.integers(-2 ** 70, 2 ** 70), _ids, _ids, st.integers(0, 2 ** 66))
