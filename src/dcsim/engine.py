@@ -23,7 +23,7 @@ from operator import mul
 from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, PlacementPlan,
                     RunMetrics, Scenario, VmState, add_up)
 from .power import power
-from .placement import PlacementRequest, VmRequest, mbfd, stripped
+from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 from . import policies
 from .workload import SeededRng
 # no longer called here; kept bound for the benchmark's tracer until ROADMAP item 13
@@ -47,7 +47,7 @@ MAX_FRAMES = 100_000
 
 
 class StalledRunError(ValueError):
-    """A frame changed no VM's remaining work, or the run reached MAX_FRAMES."""
+    """No VM's remaining work can change in a frame, or the run reached MAX_FRAMES."""
 
 
 class WorkloadTrace:
@@ -95,7 +95,8 @@ def place_fleet(scenario: Scenario) -> PlacementPlan:
     scenarios that differ in nothing else share it.  Raises
     ``InfeasibleScenarioError`` when a VM fits on no host.
     """
-    hosts = stripped(HostState(spec=h, powered_on=False) for h in scenario.hosts)
+    hosts = [HostSnapshot(h.id, h.mips_capacity, h.p_max_watts, h.idle_fraction, False, 0.0,
+                          h.ram_mb, h.storage_gb) for h in scenario.hosts]
     requests = [VmRequest(v.id, v.requested_mips, v.ram_mb, v.storage_gb)
                 for v in scenario.vms]
     plan = mbfd(PlacementRequest(vms=requests, hosts=hosts, upper_threshold=1.0))
@@ -360,8 +361,10 @@ def run_lockstep(runs, sampler=None):
     ``sampler``, if given, once per VM and frame), while each keeps its own
     power states and energy.  Returns each run's RunMetrics, in order; they
     equal those of independent runs.  Raises ``StalledRunError`` when a run
-    reaches MAX_FRAMES frames or a frame advances none of its VMs' work, as
-    the step records it (for a shared pass, in the state of its first run).
+    reaches MAX_FRAMES frames, or when a frame advances none of its VMs'
+    work, as the step records it (for a shared pass, in the state of its
+    first run), and no VM's work could change in a frame even at its
+    requested MIPS.  A frame in which every VM happens to idle is no stall.
 
     It raises the first of those before the first frame when some VM cannot
     finish in the frames left, ``F``, unless no VM's work can change in a
@@ -376,8 +379,7 @@ def run_lockstep(runs, sampler=None):
         frames = (MAX_FRAMES - state.frame_index) * (1 + 1e-9)
         dt, vms = scenario.frame_seconds, state.active.values()
         stuck = sum(vm.remaining_work_mi / (vm.spec.requested_mips * dt) > frames for vm in vms)
-        if stuck and any(vm.remaining_work_mi - vm.spec.requested_mips * dt
-                         < vm.remaining_work_mi for vm in vms):
+        if stuck and _can_advance(vms, dt):
             raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
                                   "unfinished; use longer frames" % (MAX_FRAMES, stuck))
     passes = []  # (the run that holds the VM states, the runs that share its pass)
@@ -398,11 +400,18 @@ def run_lockstep(runs, sampler=None):
                                       "unfinished; use longer frames"
                                       % (MAX_FRAMES, len(state.active)))
             step(state, scenario, sampler=sampler, sharing=sharing)
-            if not state._advanced:
+            if not (state._advanced
+                    or _can_advance(state.active.values(), scenario.frame_seconds)):
                 raise StalledRunError("frame %d advanced no VM's remaining work; the run "
                                       "cannot end" % (state.frame_index - 1))
         passes = [p for p in passes if p[0][0].active]
     return [_run_metrics(state, scenario) for state, scenario in runs]
+
+
+def _can_advance(vms, dt) -> bool:
+    """Whether a frame of ``dt`` at its requested MIPS would change some VM's remaining work."""
+    return any(vm.remaining_work_mi - vm.spec.requested_mips * dt < vm.remaining_work_mi
+               for vm in vms)
 
 
 def _alike(lead, run):

@@ -4,6 +4,11 @@ VMs are sorted by decreasing CPU demand and each is committed to the
 feasible host whose power draw grows the least.  Activating an off host
 costs its full idle power, so consolidation onto already-running,
 power-efficient hosts falls out of the cost function.
+
+The placement works on per-host records (``host_record``): ``place`` runs
+the scan over them and commits each placement into them.  ``mbfd`` builds
+them from a ``PlacementRequest`` of snapshots; the policy passes build
+them straight from the fleet, once per pass, and place into them.
 """
 
 from bisect import insort
@@ -39,17 +44,8 @@ class HostSnapshot:
 # in ``mbfd``.
 _state = attrgetter("mips_capacity", "p_max_watts", "idle_fraction", "powered_on",
                     "cpu_demand_mips", "ram_free_mb", "storage_free_gb")
-
-
-def stripped(hosts) -> list:
-    """Snapshots of ``hosts`` with every resident removed, in order.
-
-    Each keeps its host's power state, and has no CPU demand and all of its
-    RAM and storage free.
-    """
-    return [HostSnapshot(s.id, s.mips_capacity, s.p_max_watts, s.idle_fraction,
-                         h.powered_on, 0.0, s.ram_mb, s.storage_gb)
-            for h in hosts for s in (h.spec,)]
+# a VmRequest as ``place`` takes it
+_id, _request = attrgetter("id"), attrgetter("id", "demand_mips", "ram_mb", "storage_gb")
 
 
 @dataclass
@@ -89,68 +85,72 @@ def power_increase(host: HostSnapshot, vm_demand_mips: float) -> float:
     return power(host, u_after) - power(host, min(1.0, u_before))
 
 
-def mbfd(req: PlacementRequest) -> PlacementPlan:
-    """Place the requested VMs, minimizing each step's power increase.
+def host_records(states, upper: float) -> list:
+    """MBFD records of the hosts in ``states``, grouped by state.
 
-    Placements commit sequentially: every decision updates the host
-    state seen by the VMs placed after it.  Ties on power increase
-    break by ascending host id; VMs with equal demand process in
-    ascending id order.  The caller's snapshots are not mutated.
-
-    The increase is computed as ``P(after) - P(before)`` with the same
-    float operations as ``power_increase``.  The usable hosts are grouped
-    by their whole snapshot state (every field but the id) before anything
-    is derived from it.  Each group's state is checked and derived once,
-    into a record for its lowest-id host; the others wait in id order,
-    since an equal state gives an equal increase and the lower id wins the
-    tie.  When a group's scanned host takes a VM, the next one waiting
-    gets a record copied from the group's derived state.  So a call builds
-    one record per distinct state and one per host that receives a VM.
-    Raises ValueError for a negative VM demand or for a usable host with
-    an invalid power curve, a negative or NaN utilization, or a NaN free
-    RAM or storage.
+    ``states`` gives (position in id order, id, state) in id order, the
+    state being the fields ``_state`` reads.  Hosts equal in state form a
+    group, whose power curve is checked and whose record is derived once,
+    for its lowest-id host; the others wait in id order, since an equal
+    state gives an equal increase and the lower id wins the tie.  When a
+    group's scanned host takes a VM in ``place``, the next one waiting gets
+    a record copied from the group's derived state.  Raises ValueError for
+    an invalid power curve.
     """
-    upper, excluded, allow_power_on = req.upper_threshold, req.excluded_hosts, req.allow_power_on
-    # Per-host records:
-    # [position in id order, id, capacity, cpu limit, idle W, dynamic W at
-    #  full load, cpu demand, free RAM, free storage, power now (0.0 when
-    #  off), the group's (derived state, queue of (position, id) of its hosts
-    #  still waiting) or None when none waits]
-    # ``candidates`` stays sorted by position, so its strict-< scan picks
-    # what a scan over every host would.
     candidates = []
-    heads = {}  # snapshot state -> the record of its group's lowest-id host
-    for pos, h in enumerate(sorted(req.hosts, key=attrgetter("id"))):
-        if h.id in excluded or not (h.powered_on or allow_power_on):
-            continue
-        state = _state(h)
+    heads = {}  # state -> the record of its group's lowest-id host
+    for pos, hid, state in states:
         head = heads.get(state)
         if head is not None:
             if head[10] is None:
                 head[10] = (tuple(head[2:10]), deque())
-            head[10][1].append((pos, h.id))
+            head[10][1].append((pos, hid))
             continue
-        cap, p_max, k, on, cpu, ram, storage = state
-        check_power_curve(p_max, k)
-        # read before clamping, since min(1.0, nan) is 1.0; a NaN free RAM
-        # or storage would never be exceeded
-        u = cpu / cap
-        if not u >= 0.0:
-            raise ValueError("utilization must be in [0, 1]")
-        if ram != ram or storage != storage:
-            raise ValueError("free RAM and storage must not be NaN")
-        if u > 1.0:
-            u = 1.0
-        idle_w, dyn_w = k * p_max, (1.0 - k) * p_max
-        # x - 0.0 == x, so an off host's increase is its whole draw after
-        heads[state] = record = [pos, h.id, cap, upper * cap, idle_w, dyn_w, cpu, ram, storage,
-                                 idle_w + dyn_w * u if on else 0.0, None]
+        check_power_curve(state[1], state[2])
+        heads[state] = record = host_record(pos, hid, state, upper)
         candidates.append(record)
+    return candidates
 
+
+def host_record(pos: int, hid: int, state, upper: float) -> list:
+    """The MBFD record of host ``hid`` at ``pos`` in id order, in ``state``.
+
+    ``state`` holds the fields ``_state`` reads; ``place`` checks them.  A
+    record is [position, id, capacity, cpu limit, idle W, dynamic W at full
+    load, cpu demand, free RAM, free storage, power now (0.0 when off),
+    group], the group being (derived state, queue of (position, id) of the
+    hosts still waiting) or None when none waits (``host_records``).
+    """
+    cap, p_max, k, on, cpu, ram, storage = state
+    idle_w, dyn_w = k * p_max, (1.0 - k) * p_max
+    # x - 0.0 == x, so an off host's increase is its whole draw after
+    return [pos, hid, cap, upper * cap, idle_w, dyn_w, cpu, ram, storage,
+            idle_w + dyn_w * min(1.0, cpu / cap) if on else 0.0, None]
+
+
+def place(candidates: list, vms, saved=None):
+    """Place ``vms`` on ``candidates``, each where power grows the least.
+
+    ``vms`` gives (id, demand, RAM, storage) in any order; they are placed
+    by decreasing demand, equal demands in ascending id order.
+    ``candidates`` are MBFD records (``host_record``) sorted by position,
+    so the strict-< scan picks the lowest id among equal increases.  Each
+    placement is committed into its record, so the VMs placed after it see
+    it.  When ``saved`` is a list, each placement first appends (record,
+    its load, free RAM, free storage and power before it), from which a
+    caller can restore records that are in no group.  Returns
+    (assignments, unplaced).  Raises ValueError, before placing anything,
+    for a record with a negative or NaN utilization or a NaN free RAM or
+    storage, and for a negative VM demand.
+    """
+    for r in candidates:
+        # read unclamped, since min(1.0, nan) is 1.0; a NaN free RAM or
+        # storage would never be exceeded
+        if not r[6] / r[2] >= 0.0 or r[7] != r[7] or r[8] != r[8]:
+            raise ValueError("utilization must be in [0, 1], free RAM and storage not NaN")
     assignments = {}
     unplaced = set()
-    for vm in sorted(req.vms, key=lambda vm: (-vm.demand_mips, vm.id)):
-        d, ram, storage = vm.demand_mips, vm.ram_mb, vm.storage_gb
+    for vid, d, ram, storage in sorted(vms, key=lambda vm: (-vm[1], vm[0])):
         if d < 0:
             raise ValueError("vm_demand_mips must be non-negative")
         best = None
@@ -163,9 +163,11 @@ def mbfd(req: PlacementRequest) -> PlacementPlan:
                 if best is None or delta < best_delta:
                     best, best_delta, best_load, best_p = r, delta, load, p
         if best is None:
-            unplaced.add(vm.id)
+            unplaced.add(vid)
             continue
-        assignments[vm.id] = best[1]
+        assignments[vid] = best[1]
+        if saved is not None:
+            saved.append((best, best[6:10]))
         best[6] = best_load
         best[7] -= ram
         best[8] -= storage
@@ -176,4 +178,28 @@ def mbfd(req: PlacementRequest) -> PlacementPlan:
             derived, waiting = group
             insort(candidates, [*waiting.popleft(), *derived, group if waiting else None])
             best[10] = None
+    return assignments, unplaced
+
+
+def mbfd(req: PlacementRequest) -> PlacementPlan:
+    """Place the requested VMs, minimizing each step's power increase.
+
+    Placements commit sequentially: every decision updates the host
+    state seen by the VMs placed after it.  Ties on power increase
+    break by ascending host id; VMs with equal demand process in
+    ascending id order.  The caller's snapshots are not mutated.
+
+    The increase is computed as ``P(after) - P(before)`` with the same
+    float operations as ``power_increase``.  The usable hosts become
+    records by ``host_records``, grouped by their whole snapshot state
+    (every field but the id), and ``place`` places the VMs on them.  So a
+    call builds one record per distinct state and one per host that
+    receives a VM.  Raises ValueError for a negative VM demand or for a
+    usable host with an invalid power curve, a negative or NaN
+    utilization, or a NaN free RAM or storage.
+    """
+    usable = ((pos, h.id, _state(h)) for pos, h in enumerate(sorted(req.hosts, key=_id))
+              if h.id not in req.excluded_hosts and (h.powered_on or req.allow_power_on))
+    assignments, unplaced = place(host_records(usable, req.upper_threshold),
+                                  map(_request, req.vms))
     return PlacementPlan(assignments=assignments, unplaced=unplaced)

@@ -15,21 +15,23 @@ which VM it takes next:
 """
 
 import math
+from bisect import insort
 
 from .model import STATIC_KINDS, HostState, MigrationPlan, PolicyConfig
-from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd, stripped
+from .placement import host_record, host_records, place
+# no longer called here; kept bound for the benchmark's tracer until ROADMAP item 13
+from .placement import mbfd  # noqa: F401
 
 
-def underloaded_hosts(hosts, view, lower_threshold: float) -> list:
+def underloaded_hosts(hosts, loads, lower_threshold: float) -> list:
     """Ids of powered-on, non-empty hosts strictly below the lower threshold, emptiest first.
 
-    A host's load is the CPU demand of its snapshot in ``view``, which is
-    indexed by host id (``view[h.spec.id]``) and holds at least the
-    powered-on hosts.
+    A host's load is ``loads[h.spec.id]``, its CPU demand in MIPS;
+    ``loads`` holds at least the powered-on hosts.
     """
-    loads = sorted((view[h.spec.id].cpu_demand_mips / h.spec.mips_capacity, h.spec.id)
-                   for h in hosts if h.powered_on and h.resident_vms)
-    return [hid for u, hid in loads if u < lower_threshold]
+    utilizations = sorted((loads[h.spec.id] / h.spec.mips_capacity, h.spec.id)
+                          for h in hosts if h.powered_on and h.resident_vms)
+    return [hid for u, hid in utilizations if u < lower_threshold]
 
 
 def _over(demands, limit) -> float:
@@ -88,7 +90,8 @@ def select_vms_rc(host: HostState, vms, upper_threshold: float, rng) -> list:
                    lambda working, excess: working[rng.randbelow(len(working))])
 
 
-def _snapshot(host: HostState, resident, vms) -> HostSnapshot:
+def _record(host: HostState, resident, vms, upper: float) -> list:
+    """The MBFD record (``placement.host_record``) of powered-on ``host`` holding ``resident``."""
     # three sums in one pass, each left to right in resident order, as
     # ``model.add_up`` would give them
     cpu = ram = storage = 0.0
@@ -97,15 +100,14 @@ def _snapshot(host: HostState, resident, vms) -> HostSnapshot:
         cpu += vm.demand_mips
         ram += vm.spec.ram_mb
         storage += vm.spec.storage_gb
-    spec = host.spec
-    return HostSnapshot(spec.id, spec.mips_capacity, spec.p_max_watts, spec.idle_fraction,
-                        host.powered_on, cpu, spec.ram_mb - ram, spec.storage_gb - storage)
+    s = host.spec
+    return host_record(s.id, s.id, (s.mips_capacity, s.p_max_watts, s.idle_fraction, True,
+                                    cpu, s.ram_mb - ram, s.storage_gb - storage), upper)
 
 
-def _request(vm_states) -> list:
-    """One VmRequest per (vm id, VmState) pair, in order."""
-    return [VmRequest(v, vm.demand_mips, vm.spec.ram_mb, vm.spec.storage_gb)
-            for v, vm in vm_states]
+def _requests(vm_ids, vms) -> list:
+    """(id, demand, RAM, storage) of each VM in ``vm_ids``, as ``placement.place`` takes them."""
+    return [(v, vms[v].demand_mips, vms[v].spec.ram_mb, vms[v].spec.storage_gb) for v in vm_ids]
 
 
 def _plan(assignments, vms) -> MigrationPlan:
@@ -121,6 +123,12 @@ def reallocate(config: PolicyConfig, hosts, vms, rng) -> MigrationPlan:
     (as in a ``Scenario``); ``vms`` maps vm id -> VmState for every
     active VM.  The returned plan never moves a VM to the host
     it already occupies.
+
+    A pass builds its MBFD records (``placement.host_record``) straight
+    from ``hosts`` and ``vms``, once, and every placement of the pass runs
+    ``placement.place`` on them.  Each decides as ``mbfd`` would on a
+    ``PlacementRequest`` of the hosts at that point of the pass, and raises
+    the ValueError it would raise.
     """
     if config.kind in STATIC_KINDS:
         return MigrationPlan(moves=[])
@@ -130,50 +138,45 @@ def reallocate(config: PolicyConfig, hosts, vms, rng) -> MigrationPlan:
 
 
 def _reallocate_st(config, hosts, vms):
-    # Full per-frame repacking: place every active VM against the fleet
-    # stripped of residents, keeping current power states so activation
-    # of off hosts stays penalized.
-    plan = mbfd(PlacementRequest(vms=_request(vms.items()), hosts=stripped(hosts),
-                                 upper_threshold=config.upper_threshold))
-    return _plan(plan.assignments, vms)
+    """Full per-frame repacking: every active VM placed anew on the fleet.
 
-
-def _commit(view, plan, vms, moves):
-    moves.update(plan.assignments)
-    # every host in the view is on, so a placement changes no power state
-    for v, hid in plan.assignments.items():
-        s = view[hid]
-        s.cpu_demand_mips += vms[v].demand_mips
-        s.ram_free_mb -= vms[v].spec.ram_mb
-        s.storage_free_gb -= vms[v].spec.storage_gb
+    The fleet is stripped of its residents, keeping current power states so
+    that activating an off host stays penalized.  Hosts alike in spec and
+    power state share one record (``placement.host_records``).
+    """
+    states = ((s.id, s.id, (s.mips_capacity, s.p_max_watts, s.idle_fraction, h.powered_on,
+                            0.0, s.ram_mb, s.storage_gb)) for h in hosts for s in (h.spec,))
+    return _plan(place(host_records(states, config.upper_threshold), _requests(vms, vms))[0], vms)
 
 
 def _reallocate_two_threshold(config, hosts, vms, rng):
-    # The pass's load view, host id -> snapshot in fleet order, of the
-    # powered-on hosts only: each host's residents summed once, in resident
-    # order.  An off host carries no load, so it is never over or under a
-    # threshold, and no placement below may power it on.  Every decision
-    # below reads the view, and each committed placement updates it in place.
-    view = {h.spec.id: _snapshot(h, h.resident_vms, vms) for h in hosts if h.powered_on}
-    under = underloaded_hosts(hosts, view, config.lower_threshold)
+    """Relief of the hosts over the upper threshold, then evacuation of those under the lower.
+
+    The pass builds one MBFD record per powered-on host, by host id in fleet
+    order, each host's residents summed once, in resident order.  An off
+    host carries no load, so it is never over or under a threshold, and no
+    placement may power it on.  Every decision reads the records
+    (``record[6]`` is a host's load, ``record[2]`` its capacity), relief
+    and each evacuation place into them, and ``place`` commits each
+    placement into them.
+    """
+    upper = config.upper_threshold
+    records = {h.spec.id: _record(h, h.resident_vms, vms, upper) for h in hosts if h.powered_on}
+    under = underloaded_hosts(hosts, {hid: r[6] for hid, r in records.items()},
+                              config.lower_threshold)
     select = {"MM": select_vms_mm, "HPG": select_vms_hpg,
               "RC": lambda h, vms, upper: select_vms_rc(h, vms, upper, rng)}[config.kind]
     over_selected = []
     # an empty host carries no load, so it is never over the threshold
-    for hid, s in view.items():
-        if s.cpu_demand_mips / s.mips_capacity > config.upper_threshold:
+    for hid, r in records.items():
+        if r[6] / r[2] > upper:
             h = hosts[hid]
-            picked = select(h, vms, config.upper_threshold)
+            picked = select(h, vms, upper)
             # the host as relief sees it: its picks are leaving
-            view[hid] = _snapshot(h, [v for v in h.resident_vms if v not in picked], vms)
+            records[hid] = _record(h, [v for v in h.resident_vms if v not in picked], vms, upper)
             over_selected += picked
+    candidates = list(records.values())
     moves = {}
-
-    def place(vm_ids, excluded=frozenset()):
-        return mbfd(PlacementRequest(vms=_request((v, vms[v]) for v in vm_ids),
-                                     hosts=list(view.values()),
-                                     upper_threshold=config.upper_threshold,
-                                     allow_power_on=False, excluded_hosts=excluded))
 
     # Over-threshold relief first: one MBFD pass over all selected VMs.
     # Relief never powers hosts on: activating a host costs its full
@@ -183,27 +186,31 @@ def _reallocate_two_threshold(config, hosts, vms, rng):
     # eligible as targets; spill landing on one lifts it toward the
     # lower threshold and cancels its evacuation.
     if over_selected:
-        _commit(view, place(over_selected), vms, moves)
+        moves.update(place(candidates, _requests(over_selected, vms))[0])
 
     # Evacuate underloaded hosts one at a time, emptiest first, so two
     # underloaded hosts can merge (the fuller one absorbs the emptier)
     # instead of blocking each other as destinations.  An evacuation is
-    # all-or-nothing: a partial one would leave the host on and idle.
-    # The host being evacuated is excluded from its own placement and
-    # from every later one, so its snapshot keeps its load throughout.
-    evacuated = set()
+    # all-or-nothing: a partial one would leave the host on and idle, so a
+    # failed one restores every record it changed from the saved fields.
+    # The host being evacuated leaves the candidates for its own placement
+    # and, once evacuated, for every later one, so its record keeps its load.
     for hid in under:
-        snap = view[hid]
+        r = records[hid]
         # an earlier placement may have landed here; if the host is no
         # longer underloaded it stays on and keeps its VMs
-        if snap.cpu_demand_mips / snap.mips_capacity >= config.lower_threshold:
+        if r[6] / r[2] >= config.lower_threshold:
             continue
         # never power a host on to absorb an evacuation: swapping the
         # load onto a fresh host saves nothing and churns migrations
-        plan = place(hosts[hid].resident_vms, frozenset(evacuated | {hid}))
-        if plan.unplaced:
+        candidates.remove(r)
+        saved = []
+        assignments, unplaced = place(candidates, _requests(hosts[hid].resident_vms, vms), saved)
+        if unplaced:
+            for record, fields in reversed(saved):
+                record[6:10] = fields
+            insort(candidates, r)
             continue
-        _commit(view, plan, vms, moves)
-        evacuated.add(hid)
+        moves.update(assignments)
 
     return _plan(moves, vms)

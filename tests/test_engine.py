@@ -283,34 +283,42 @@ def test_empty_hosts_are_neither_shared_nor_powered(monkeypatch):
     assert state.frames[0].energy_wh == state.energy_wh == expected
 
 
-def test_frame_that_advances_no_work_stops_the_run():
+def test_frame_that_advances_no_work_stops_the_run(monkeypatch):
+    # a VM idling every frame could still run at its requested MIPS, so no
+    # frame is a stall of its own; the frame limit ends the run
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
-    with pytest.raises(StalledRunError, match="frame 0 advanced no VM's remaining work"):
-        simulate(sc, sampler=pinned(0.0))
+    monkeypatch.setattr(engine, "MAX_FRAMES", 12)
+    state = initial_placement(sc)
+    with pytest.raises(StalledRunError, match="limit of 12 frames with 1 VM"):
+        engine.run_lockstep([(state, sc)], sampler=pinned(0.0))
+    assert state.frame_index == 12 and state.vms[0].remaining_work_mi == 150000.0
 
 
-def test_a_frame_that_advances_nothing_after_one_that_did_stops_the_run():
+def test_a_frame_that_advances_nothing_after_one_that_did_stops_the_run(monkeypatch):
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
-    with pytest.raises(StalledRunError, match="frame 1 advanced no VM's remaining work"):
+    monkeypatch.setattr(engine, "MAX_FRAMES", 12)
+    with pytest.raises(StalledRunError, match="limit of 12 frames with 1 VM"):
         simulate(sc, sampler=lambda vm_id, frame: 1.0 if frame == 0 else 0.0)
 
 
-def test_a_vm_finishing_at_exactly_zero_is_progress():
+def test_a_vm_finishing_at_exactly_zero_is_progress(monkeypatch):
     # VM 0 does its whole 15000 MI in frame 0 (250 MIPS for 60 s) and
-    # finishes with exactly 0.0 left while VM 1 idles: frame 0 changed a VM's
-    # work, and frame 1, with only the idle VM left, changed none
+    # finishes with exactly 0.0 left while VM 1 idles; from frame 1 only the
+    # idle VM is left, and the run goes on to its frame limit
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0, 250.0), work=15000.0)
+    monkeypatch.setattr(engine, "MAX_FRAMES", 12)
     state = initial_placement(sc)
-    with pytest.raises(StalledRunError, match="frame 1 advanced no VM's remaining work"):
+    with pytest.raises(StalledRunError, match="limit of 12 frames with 1 VM"):
         engine.run_lockstep([(state, sc)], sampler=lambda vm_id, frame: float(vm_id == 0))
-    assert state.frame_index == 2
+    assert state.frame_index == 12
     assert state.vms[0].remaining_work_mi == 0.0 and list(state.active) == [1]
 
 
-def test_a_shared_static_pass_stalls_as_a_run_of_its_own():
+def test_a_shared_static_pass_stalls_as_a_run_of_its_own(monkeypatch):
     def sampler(vm_id, frame):
         return 1.0 if frame < 2 else 0.0
     sc = small_scenario(policy="DVFS", n_hosts=2, vm_mips=(250.0, 500.0))
+    monkeypatch.setattr(engine, "MAX_FRAMES", 12)
     with pytest.raises(StalledRunError) as alone:
         simulate(sc, sampler=sampler)
     trace = WorkloadTrace()
@@ -320,8 +328,24 @@ def test_a_shared_static_pass_stalls_as_a_run_of_its_own():
         engine.run_lockstep(runs, sampler=sampler)
     assert runs[1][0].active is runs[0][0].active  # the two runs made one pass
     assert str(shared.value) == str(alone.value) == (
-        "frame 2 advanced no VM's remaining work; the run cannot end")
-    assert [state.frame_index for state, _ in runs] == [3, 3]
+        "the run reached its limit of 12 frames with 2 VM(s) unfinished; use longer frames")
+    assert [state.frame_index for state, _ in runs] == [12, 12]
+
+
+def test_a_frame_in_which_every_vm_idles_is_not_a_stall():
+    # under run seed 0 the keyed draw of VM 0 at frame 0 is exactly 0.0, so
+    # frame 0 advances nothing; the VM can still run, and the run completes
+    hosts = tuple(HostSpec(id=i, mips_capacity=1000.0, ram_mb=8192.0, storage_gb=1024.0,
+                           p_max_watts=250.0, idle_fraction=0.7) for i in range(3))
+    vms = (VmSpec(id=0, requested_mips=237.5, ram_mb=128.0, storage_gb=1.0,
+                  total_work_mi=150000.0),)
+    sc = Scenario(hosts=hosts, vms=vms, policy=PolicyConfig("DVFS"), seed=0)
+    state = initial_placement(sc)
+    step(state, sc)
+    assert state.vms[0].remaining_work_mi == 150000.0 and not state._advanced
+    state, metrics = simulate(sc)
+    assert not state.active and state.vms[0].remaining_work_mi == 0.0
+    assert metrics.sim_duration_s == state.frame_index * sc.frame_seconds > 0
 
 
 def test_run_stops_at_the_frame_limit(monkeypatch):

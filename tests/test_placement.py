@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dcsim import (HostSnapshot, PlacementPlan, PlacementRequest, VmRequest,
                    default_paper_scenario, initial_placement, mbfd, power_increase,
                    reallocate, step)
-from dcsim import placement, policies
+from dcsim import placement
 
 
 def snap(id=0, cap=1000.0, on=True, demand=0.0, ram=8192.0, storage=1024.0,
@@ -300,15 +300,13 @@ def test_mbfd_builds_one_record_per_state_and_per_receiving_host(monkeypatch):
     state = initial_placement(scenario)
     for _ in range(20):
         step(state, scenario)
-    requests = []
-
-    def recorded(req):
-        requests.append(req)
-        return mbfd(req)
-
-    monkeypatch.setattr(policies, "mbfd", recorded)
-    reallocate(scenario.policy, state.hosts, state.active, state.rng)
-    [req] = requests
+    req = PlacementRequest(
+        vms=[vm(id=v, demand=s.demand_mips, ram=s.spec.ram_mb, storage=s.spec.storage_gb)
+             for v, s in state.active.items()],
+        hosts=[HostSnapshot(h.spec.id, h.spec.mips_capacity, h.spec.p_max_watts,
+                            h.spec.idle_fraction, h.powered_on, 0.0, h.spec.ram_mb,
+                            h.spec.storage_gb) for h in state.hosts],
+        upper_threshold=0.5)
     assert len(req.hosts) == 100 and 0 < sum(h.powered_on for h in req.hosts) < 100
     checked = []
     check = placement.check_power_curve
@@ -317,12 +315,19 @@ def test_mbfd_builds_one_record_per_state_and_per_receiving_host(monkeypatch):
         checked.append((p_max, k))
         check(p_max, k)
 
+    # each group's curve is checked once, as its record is derived
     monkeypatch.setattr(placement, "check_power_curve", counted)
     plan = mbfd(req)
     states = {astuple(replace(h, id=0)) for h in req.hosts}
     receivers = set(plan.assignments.values())
     assert len(checked) <= len(states) + len(receivers) < len(req.hosts)
     assert plan == reference_mbfd(req)
+    # ST's own pass builds its records the same way, and places alike
+    del checked[:]
+    moves = reallocate(scenario.policy, state.hosts, state.active, state.rng).moves
+    assert len(checked) <= len(states) + len(receivers)
+    assert {v: dst for v, _, dst in moves} == {
+        v: dst for v, dst in plan.assignments.items() if dst != state.vms[v].host_id}
 
 
 @pytest.mark.parametrize("host, demand", [

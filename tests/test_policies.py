@@ -1,18 +1,21 @@
 """Reallocation policies: VM selection rules and migration planning."""
 
 import itertools
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dcsim import policies
+from dcsim import placement, policies
 from dcsim.model import HostSpec, HostState, MigrationPlan, VmSpec, VmState, add_up
 from dcsim.placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
-from dcsim.policies import (PolicyConfig, _snapshot, reallocate,
+from dcsim.policies import (PolicyConfig, _record, reallocate,
                             select_vms_hpg, select_vms_mm, select_vms_rc,
                             underloaded_hosts)
 from dcsim.workload import SeededRng
+from test_placement import reference_mbfd
 
 
 def make_host(id=0, cap=1000.0, residents=(), on=True):
@@ -47,13 +50,19 @@ def test_policy_config_validation():
 
 
 def test_host_utilization():
-    # the load view sums a host's residents once: 200 + 300 of 1000 is 0.5
+    # the pass's record sums a host's residents once: 200 + 300 of 1000 is 0.5
     vms = make_vms([200.0, 300.0])
     host = make_host(cap=1000.0, residents=[0, 1])
-    snap = _snapshot(host, host.resident_vms, vms)
-    assert snap.cpu_demand_mips / snap.mips_capacity == pytest.approx(0.5)
-    assert snap.ram_free_mb == pytest.approx(8192.0 - 2 * 128.0)
-    assert snap.storage_free_gb == pytest.approx(1024.0 - 2 * 1.0)
+    record = _record(host, host.resident_vms, vms, 0.7)
+    pos, hid, cap, limit, idle_w, dyn_w, cpu, ram, storage, p, group = record
+    assert (pos, hid, cap, limit, group) == (0, 0, 1000.0, 700.0, None)
+    assert cpu / cap == pytest.approx(0.5)
+    assert ram == pytest.approx(8192.0 - 2 * 128.0)
+    assert storage == pytest.approx(1024.0 - 2 * 1.0)
+    # 0.7 * 250 W idle, plus 0.3 * 250 W at half load
+    assert (idle_w, dyn_w, p) == pytest.approx((175.0, 75.0, 212.5))
+    # a relieved host is summed without its picks
+    assert _record(host, [1], vms, 0.7)[6:9] == [300.0, 8192.0 - 128.0, 1024.0 - 1.0]
 
 
 def test_underloaded_hosts_strictly_below_threshold():
@@ -64,11 +73,11 @@ def test_underloaded_hosts_strictly_below_threshold():
     empty = make_host(id=3)
     pair = make_host(id=4, cap=1000.0, residents=[2, 3])  # 200 + 300 of 1000: 0.5
     hosts = [pair, at, below, off, empty]
-    view = {h.spec.id: _snapshot(h, h.resident_vms, vms) for h in hosts}
-    assert underloaded_hosts(hosts, view, 0.3) == [1]
+    loads = {h.spec.id: _record(h, h.resident_vms, vms, 1.0)[6] for h in hosts}
+    assert underloaded_hosts(hosts, loads, 0.3) == [1]
     # emptiest first; the pair sums to 0.5
-    assert underloaded_hosts(hosts, view, 0.5) == [1, 0]
-    assert underloaded_hosts(hosts, view, 0.6) == [1, 0, 4]
+    assert underloaded_hosts(hosts, loads, 0.5) == [1, 0]
+    assert underloaded_hosts(hosts, loads, 0.6) == [1, 0, 4]
 
 
 def relieved(host, vms, picked, upper):
@@ -312,10 +321,32 @@ def test_st_repacks_onto_fewest_hosts():
     assert len(destinations) == 1
 
 
+def moves_of(assignments, vms):
+    return MigrationPlan(moves=[(v, vms[v].host_id, dst) for v, dst in sorted(assignments.items())
+                                if dst != vms[v].host_id])
+
+
+def request(vms, vm_ids):
+    return [VmRequest(id=v, demand_mips=vms[v].demand_mips, ram_mb=vms[v].spec.ram_mb,
+                      storage_gb=vms[v].spec.storage_gb) for v in vm_ids]
+
+
+# ST's repack as one call of ``place`` on PlacementRequest views: every active
+# VM against the fleet stripped of residents, in its current power states.
+def reference_st(config, hosts, vms, place=mbfd):
+    snapshots = [HostSnapshot(h.spec.id, h.spec.mips_capacity, h.spec.p_max_watts,
+                              h.spec.idle_fraction, h.powered_on, 0.0, h.spec.ram_mb,
+                              h.spec.storage_gb) for h in hosts]
+    plan = place(PlacementRequest(vms=request(vms, vms), hosts=snapshots,
+                                  upper_threshold=config.upper_threshold))
+    return moves_of(plan.assignments, vms)
+
+
 # The two-threshold pass as it was before it kept one load view: every
-# decision re-sums the host's residents.  ``reallocate`` must give the
-# same plan, bit for bit.
-def reference_two_threshold(config, hosts, vms, rng):
+# decision re-sums the host's residents, and each placement is one call of
+# ``place`` on PlacementRequest views.  ``reallocate`` must give the same
+# plan, bit for bit.
+def reference_two_threshold(config, hosts, vms, rng, place=mbfd):
     # every sum is left to right, in resident order, as on CPython 3.10 and 3.11
     def utilization(h):
         return add_up(vms[v].demand_mips for v in h.resident_vms) / h.spec.mips_capacity
@@ -328,10 +359,6 @@ def reference_two_threshold(config, hosts, vms, rng):
             cpu_demand_mips=add_up(vms[v].demand_mips for v in resident),
             ram_free_mb=h.spec.ram_mb - add_up(vms[v].spec.ram_mb for v in resident),
             storage_free_gb=h.spec.storage_gb - add_up(vms[v].spec.storage_gb for v in resident))
-
-    def request(vm_ids):
-        return [VmRequest(id=v, demand_mips=vms[v].demand_mips, ram_mb=vms[v].spec.ram_mb,
-                          storage_gb=vms[v].spec.storage_gb) for v in vm_ids]
 
     def commit(plan):
         for v, hid in plan.assignments.items():
@@ -359,8 +386,8 @@ def reference_two_threshold(config, hosts, vms, rng):
     snapshots = [snapshot(h, skip) for h in hosts]
     snap_by_id = {s.id: s for s in snapshots}
     if over_selected:
-        plan = mbfd(PlacementRequest(vms=request(over_selected), hosts=snapshots,
-                                     upper_threshold=upper, allow_power_on=False))
+        plan = place(PlacementRequest(vms=request(vms, over_selected), hosts=snapshots,
+                                      upper_threshold=upper, allow_power_on=False))
         commit(plan)
         moves.update(plan.assignments)
     evacuated = set()
@@ -368,27 +395,27 @@ def reference_two_threshold(config, hosts, vms, rng):
         snap = snap_by_id[hid]
         if snap.cpu_demand_mips / snap.mips_capacity >= lower:
             continue
-        plan = mbfd(PlacementRequest(vms=request(by_id[hid].resident_vms), hosts=snapshots,
-                                     upper_threshold=upper, allow_power_on=False,
-                                     excluded_hosts=frozenset(evacuated | {hid})))
+        plan = place(PlacementRequest(vms=request(vms, by_id[hid].resident_vms),
+                                      hosts=snapshots, upper_threshold=upper,
+                                      allow_power_on=False,
+                                      excluded_hosts=frozenset(evacuated | {hid})))
         if plan.unplaced:
             continue
         commit(plan)
         moves.update(plan.assignments)
         evacuated.add(hid)
-    return MigrationPlan(moves=[(v, vms[v].host_id, dst) for v, dst in sorted(moves.items())
-                                if dst != vms[v].host_id])
+    return moves_of(moves, vms)
 
 
 THRESHOLD_PAIRS = [(0.3, 0.7), (0.4, 0.8), (0.5, 0.9), (0.17, 0.63)]
 
 
 @st.composite
-def two_threshold_fleets(draw):
+def two_threshold_fleets(draw, min_hosts=1, max_hosts=8):
     """A mixed fleet with fractional loads, some hosts pinned near a threshold."""
     lower, upper = draw(st.sampled_from(THRESHOLD_PAIRS))
     hosts, vms = [], {}
-    for hid in range(draw(st.integers(1, 8))):
+    for hid in range(draw(st.integers(min_hosts, max_hosts))):
         cap = draw(st.sampled_from([997.3, 1000.0, 2113.7, 3000.0]))
         spec = HostSpec(id=hid, mips_capacity=cap, storage_gb=1024.0,
                         ram_mb=draw(st.sampled_from([4096.0, 6143.5, 8192.0])),
@@ -427,6 +454,87 @@ def test_two_threshold_matches_the_resumming_reference(fleet, kind, seed):
     assert reallocate(config, hosts, vms, SeededRng(seed)) == expected
 
 
+def explicit_fleet(lower, upper, hosts):
+    """A powered-on fleet from (capacity, peak W, idle fraction, [(demand, RAM MB), ...])."""
+    fleet, vms = [], {}
+    for hid, (cap, p_max, k, residents) in enumerate(hosts):
+        spec = HostSpec(id=hid, mips_capacity=cap, ram_mb=8192.0, storage_gb=1024.0,
+                        p_max_watts=p_max, idle_fraction=k)
+        for demand, ram in residents:
+            vid = len(vms)
+            vms[vid] = VmState(spec=VmSpec(id=vid, requested_mips=max(demand, 1000.0), ram_mb=ram,
+                                           storage_gb=2.5, total_work_mi=150000.0),
+                               host_id=hid, demand_mips=demand, remaining_work_mi=1000.0)
+        fleet.append(HostState(spec=spec, resident_vms=list(range(len(vms) - len(residents),
+                                                                   len(vms)))))
+    return lower, upper, fleet, vms
+
+
+# Host 0's evacuation places its first VM on host 2, then fails on its
+# 7500 MB VM; host 1's VM fits on host 2 only once the first placement is undone.
+FAILED_EVACUATION_THEN_A_FIT = explicit_fleet(0.3, 0.9, [
+    (1000.0, 250.0, 0.7, [(100.37, 512.0), (50.21, 7500.0)]),
+    (1000.0, 250.0, 0.7, [(250.73, 1024.0)]),
+    (2000.0, 250.0, 0.6, [(1500.11, 1024.0)])])
+# Hosts 2 and 3 are alike, so host 2 wins their tie.  Host 0's failed
+# evacuation first lands 74.24 MIPS on host 2; 985.83 + 74.24 - 74.24 is not
+# 985.83 in float, and from that load host 1's VM would cost more on host 2.
+FAILED_EVACUATION_THEN_A_TIE = explicit_fleet(0.3, 0.7, [
+    (1000.0, 250.0, 0.7, [(74.24, 256.0), (50.5, 7000.0)]),
+    (1000.0, 250.0, 0.7, [(128.56, 2048.0)]),
+    (3000.0, 250.0, 0.7, [(985.83, 2048.0)]),
+    (3000.0, 250.0, 0.7, [(985.83, 2048.0)])])
+# Host 0 is evacuated onto host 2; host 1's VM would fit only on host 0.
+EVACUATED_HOST_THEN_NO_FIT = explicit_fleet(0.3, 0.9, [
+    (3000.0, 250.0, 0.7, [(600.45, 512.0)]),
+    (1000.0, 250.0, 0.7, [(250.37, 512.0)]),
+    (2000.0, 250.0, 0.6, [(1000.29, 512.0)])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_threshold_fleets(min_hosts=3, max_hosts=12),
+       st.sampled_from(["ST", "MM", "HPG", "RC"]), st.integers(0, 2**32),
+       st.sampled_from([None] * 6 + ["nan capacity", "nan RAM", "negative demand"]))
+@example(FAILED_EVACUATION_THEN_A_FIT, "MM", 0, None)
+@example(FAILED_EVACUATION_THEN_A_TIE, "HPG", 0, None)
+@example(EVACUATED_HOST_THEN_NO_FIT, "RC", 0, None)
+def test_each_pass_places_as_mbfd_and_the_reference_scan_on_its_views(fleet, kind, seed, fault):
+    """ST's repack, relief and every evacuation place on records built once per
+    pass; each must decide as ``mbfd``, and the linear ``reference_mbfd``, do
+    on the PlacementRequest views of the hosts at that point of the pass."""
+    lower, upper, hosts, vms = fleet
+    if kind == "ST":
+        config = PolicyConfig("ST", upper_threshold=upper)
+    else:
+        config = PolicyConfig(kind, lower, upper)
+
+    def reference(place):
+        if kind == "ST":
+            return reference_st(config, hosts, vms, place)
+        return reference_two_threshold(config, hosts, vms, SeededRng(seed), place)
+
+    if fault is None:
+        assert (reallocate(config, hosts, vms, SeededRng(seed))
+                == reference(mbfd) == reference(reference_mbfd))
+        return
+    # a state that ``mbfd`` rejects raises wherever a placement could use it
+    if fault == "nan capacity":
+        hosts[0].spec = replace(hosts[0].spec, mips_capacity=math.nan)
+    elif vms:
+        vm = vms[len(vms) // 2]
+        if fault == "nan RAM":
+            vm.spec = replace(vm.spec, ram_mb=math.nan)
+        else:
+            vm.demand_mips = -1.0
+    try:
+        expected = reference(mbfd)
+    except ValueError:
+        with pytest.raises(ValueError):
+            reallocate(config, hosts, vms, SeededRng(seed))
+    else:
+        assert reallocate(config, hosts, vms, SeededRng(seed)) == expected
+
+
 @pytest.mark.parametrize("kind", ["MM", "HPG", "RC"])
 def test_two_threshold_placements_see_only_powered_on_hosts(kind, monkeypatch):
     """Relief and evacuation never power a host on, so MBFD is offered only on hosts."""
@@ -441,13 +549,15 @@ def test_two_threshold_placements_see_only_powered_on_hosts(kind, monkeypatch):
     for v, hid in ((2, 2), (3, 4)):
         vms[v].host_id = hid
     offered = []
+    place = placement.place
 
-    def recording_mbfd(req):
-        offered.append([(s.id, s.powered_on) for s in req.hosts])
-        return mbfd(req)
+    def recording_place(candidates, vms, saved=None):
+        # a record's power now is 0.0 when its host is off
+        offered.append([(r[1], r[9] > 0.0) for r in candidates])
+        return place(candidates, vms, saved)
 
-    monkeypatch.setattr(policies, "mbfd", recording_mbfd)
+    monkeypatch.setattr(policies, "place", recording_place)
     plan = reallocate(PolicyConfig(kind, 0.3, 0.7), hosts, vms, SeededRng(3))
     assert [(src, dst) for _, src, dst in plan.moves] == [(0, 4), (2, 4)]
-    assert len(offered) == 2
-    assert all(offer == [(0, True), (2, True), (4, True)] for offer in offered)
+    # relief, then host 2's evacuation, which leaves host 2 out
+    assert offered == [[(0, True), (2, True), (4, True)], [(0, True), (4, True)]]

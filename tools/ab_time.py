@@ -9,7 +9,8 @@ first.  Each call is timed in CPU time of this process, with its report
 captured instead of printed.  It refuses to time, and exits 1, when the
 two checkouts' reports differ or a call does not return 0.  Otherwise it
 prints each round's times and, last, the median ratio (this checkout over
-the parent) and the rounds in which this checkout was faster.
+the parent), the ratio's quartiles (the spread that a median is compared
+with) and the rounds in which this checkout was faster.
 
 Both sides share one interpreter, so a CPU whose speed changes between
 fresh interpreters, as a shared vCPU's may, moves both alike.  Only the
@@ -91,8 +92,11 @@ def main(argv=None) -> int:
               % (i + 1, times["parent"][-1], times["change"][-1]))
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    print("median ratio %.3f (change / parent), change faster in %d of %d rounds"
-          % (statistics.median(ratios), wins, args.rounds))
+    # one round has no spread: its quartiles are its ratio
+    q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1
+                 else ratios * 3)
+    print("median ratio %.3f (change / parent), quartiles %.3f to %.3f, change faster in %d "
+          "of %d rounds" % (statistics.median(ratios), q1, q3, wins, args.rounds))
     return 0
 
 
