@@ -9,10 +9,10 @@ from .power import power, accumulate, host_power
 from .placement import PlacementRequest, HostSnapshot, VmRequest, power_increase, mbfd
 from .policies import (reallocate, select_vms_mm, select_vms_hpg, select_vms_rc,
                        underloaded_hosts)
-from .engine import (SimulationState, WorkloadTrace, InfeasibleScenarioError,
-                     StalledRunError, initial_placement, place_fleet, placed_state,
-                     share_mips, step, simulate, run_lockstep)
-from .workload import SeededRng, child_rng, utilization_at
+from .engine import (SimulationState, InfeasibleScenarioError, StalledRunError,
+                     initial_placement, place_fleet, placed_state, share_mips, step, simulate,
+                     run_lockstep)
+from .workload import SeededRng, WorkloadTrace, child_rng
 
 __all__ = [
     "HostSpec", "VmSpec", "HostState", "VmState", "PlacementPlan",
@@ -25,5 +25,5 @@ __all__ = [
     "SimulationState", "WorkloadTrace", "InfeasibleScenarioError", "StalledRunError",
     "initial_placement", "place_fleet", "placed_state", "share_mips", "step", "simulate",
     "run_lockstep",
-    "SeededRng", "child_rng", "utilization_at",
+    "SeededRng", "child_rng",
 ]

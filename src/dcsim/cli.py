@@ -30,11 +30,10 @@ import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 
-from .engine import (InfeasibleScenarioError, WorkloadTrace, place_fleet, placed_state,
-                     run_lockstep)
+from .engine import InfeasibleScenarioError, place_fleet, placed_state, run_lockstep
 from .model import (POLICY_KINDS, STATIC_KINDS, TWO_THRESHOLD_KINDS, PolicyConfig,
                     Scenario, default_paper_scenario)
-from .workload import child_rng
+from .workload import WorkloadTrace, child_rng
 
 DEFAULT_POLICIES = (
     PolicyConfig("NPA"),
@@ -205,7 +204,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         raise InfeasibleScenarioError("%s (policy row %s)" % (exc, spec.policies[0].kind))
     for i in range(base.runs):
         seed = child_rng(base.seed, i).seed
-        trace = WorkloadTrace()
+        trace = WorkloadTrace(seed)
         runs = [(placed_state(scenario, plan, seed=seed, trace=trace), scenario)
                 for scenario in scenarios]
         for row, metrics in zip(rows, run_lockstep(runs)):

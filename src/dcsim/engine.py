@@ -1,19 +1,21 @@
 """Frame-driven simulation loop.
 
-Each frame samples the utilization of every resident of the fleet in one
-call, host by host in resident order.  Then it goes once over the hosts in
-fleet order: for each host with VMs it sums their demands once, shares the
-host's MIPS proportionally and records SLA measurements.  Then it goes once
-over the residents, in the same order, and advances each VM's work
-(finished VMs leave the fleet).  Then the frame's energy is charged
-host by host from those loads: a loaded host's linear power at its load,
-inline, and each run's constant draws (NPA's peak, an empty host's idle)
-from terms computed once per run.  Last the policy is invoked, its migration
-plan applied and host power states adjusted.  SLA and energy are
-therefore charged against the placement in force during the frame, and
-the policy reacts to the loads it just observed.  Static runs (NPA,
-DVFS) placed alike on one workload trace share that pass, each charged on
-its own meter.
+Each frame asks the run's workload trace (``workload.WorkloadTrace``, the
+one seam through which utilizations enter) for every resident of the
+fleet in one call, host by host in resident order.  Then it goes once
+over the hosts in fleet order: for each host with VMs it sums their
+demands once, shares the host's MIPS proportionally and records SLA
+measurements.  Then it goes once over the residents, in the same order,
+and advances each VM's work (finished VMs leave the fleet).  Then the
+frame's energy is charged host by host from those loads: a loaded host's
+linear power at its load, inline, and each run's constant draws (NPA's
+peak, an empty host's idle) from terms computed once per run.  Last the
+policy is invoked, its migration plan applied and host power states
+adjusted.  SLA and energy are therefore charged against the placement in
+force during the frame, and the policy reacts to the loads it just
+observed.  Static runs (NPA, DVFS) placed alike on one workload trace
+share that pass, each charged on its own meter.  A run that cannot end
+is stopped before its first frame (``run_lockstep``).
 """
 
 import math
@@ -25,7 +27,7 @@ from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, Placeme
 from .power import power
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 from . import policies
-from .workload import SeededRng
+from .workload import SeededRng, WorkloadTrace
 # no longer called here; kept bound for the benchmark's tracer until ROADMAP item 13
 from .power import accumulate, host_power  # noqa: F401
 from .workload import walk_utilization  # noqa: F401
@@ -47,26 +49,7 @@ MAX_FRAMES = 100_000
 
 
 class StalledRunError(ValueError):
-    """No VM's remaining work can change in a frame, or the run reached MAX_FRAMES."""
-
-
-class WorkloadTrace:
-    """Each VM's utilization at the latest two frames, for runs in lockstep.
-
-    Runs under one seed that share a trace, and step frame ``f`` before any
-    of them steps ``f + 1``, see one workload: the first to need a VM at a
-    frame draws it, the others read it.  It holds two values per VM, in two
-    lists indexed by VM id (``current[v]`` is None until VM ``v`` is drawn
-    at ``frame``), however many frames or runs read it; the first step of a
-    frame sizes ``current`` to the fleet.
-    """
-
-    __slots__ = ("frame", "current", "previous")
-
-    def __init__(self):
-        self.frame = 0
-        self.current = []  # utilization at ``frame``, by vm id
-        self.previous = []  # utilization at ``frame - 1``, by vm id
+    """The run cannot end: no VM's work can change in a frame, or it reached MAX_FRAMES."""
 
 
 @dataclass
@@ -75,15 +58,13 @@ class SimulationState:
     hosts: list  # hosts[i] has id i, as in the Scenario
     vms: list  # vms[i] has id i: every VM of the fleet, finished ones included
     rng: SeededRng
+    trace: WorkloadTrace  # under the seed of ``rng``
     # vm id -> VmState for every VM with work left; a VM leaves when it finishes
     active: dict = field(default_factory=dict)
     energy_wh: float = 0.0
     frames: list = field(default_factory=list)
-    trace: WorkloadTrace = field(default_factory=WorkloadTrace)
     # the run's per-frame constants (``_constant``), set when it is first stepped
     constant: tuple = None
-    # whether the latest step changed any VM's remaining work
-    _advanced: bool = False
 
 
 def place_fleet(scenario: Scenario) -> PlacementPlan:
@@ -113,8 +94,10 @@ def placed_state(scenario: Scenario, plan: PlacementPlan, seed=None,
     Hosts that receive no VMs are powered on under NPA and stay off under
     every other policy.  Each call builds host and VM states of its own.
 
-    ``trace`` is the run's ``WorkloadTrace``, by default a fresh one; runs
-    under the same seed that ``run_lockstep`` steps together may share one.
+    ``trace`` is the run's ``WorkloadTrace``, by default a fresh one under
+    the run's seed; runs under that seed that ``run_lockstep`` steps
+    together may share one.  Raises ``ValueError`` for a trace of another
+    seed, whose draws would not be this run's.
     """
     hosts = [HostState(spec=h, powered_on=False) for h in scenario.hosts]
     vms = []
@@ -127,9 +110,12 @@ def placed_state(scenario: Scenario, plan: PlacementPlan, seed=None,
     for host in hosts:
         host.powered_on = npa or bool(host.resident_vms)
     rng = SeededRng(scenario.seed if seed is None else seed)
-    return SimulationState(frame_index=0, hosts=hosts, vms=vms, rng=rng,
-                           active={vm.spec.id: vm for vm in vms},
-                           trace=WorkloadTrace() if trace is None else trace)
+    trace = WorkloadTrace(rng.seed) if trace is None else trace
+    if trace.seed != rng.seed:
+        raise ValueError("a run of seed %d cannot share a workload trace of seed %d"
+                         % (rng.seed, trace.seed))
+    return SimulationState(frame_index=0, hosts=hosts, vms=vms, rng=rng, trace=trace,
+                           active={vm.spec.id: vm for vm in vms})
 
 
 def initial_placement(scenario: Scenario, seed=None, trace=None) -> SimulationState:
@@ -202,31 +188,21 @@ def _charge(total_wh, hosts, loads, constant, dt):
     return total_wh
 
 
-def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
+def step(state: SimulationState, scenario: Scenario, sharing=()):
     """Advance the simulation by one frame; returns the frame's metrics.
 
-    The whole fleet's residents, host by host in resident order, are sampled
-    in one ``SeededRng.walk_residents`` call, and each host takes its slice:
-    a VM's utilization at frame ``f`` is read from ``state.trace`` when a run
-    sharing the trace has drawn it; otherwise it is the keyed draw for
-    (vm, f), walked on from the VM's value at ``f - 1``, and is stored there.
-    The first step of a frame turns the trace over to it, with ``current``
-    one None per VM of ``state.vms``.  Raises ``RuntimeError`` when runs
-    sharing the trace fall out of lockstep.  Each VM's demand is its
-    utilization times its requested MIPS, in that order, as a C-level map.
-
-    ``sampler`` overrides utilization sampling for tests: a callable
-    (vm_id, frame_index) -> fraction in [0, 1], called host by host in
-    fleet order and, on each host, in resident order, before any host's
-    work is advanced; it bypasses the trace.
+    The whole fleet's residents, host by host in resident order, take their
+    utilizations at the frame from one ``state.trace.utilizations`` call,
+    and each host takes its slice; a run sharing the trace may have drawn
+    them already.  The trace raises ``RuntimeError`` when runs sharing it
+    fall out of lockstep.  Each VM's demand is its utilization times its
+    requested MIPS, in that order, as a C-level map.
 
     Each host with VMs has its demands summed once, left to right; that
     load goes to ``share_mips`` and to the energy charge (``_charge``).  A
     host with no residents is not shared, and its draw, like every NPA
     host's, is the run's constant term, computed once per run.  Then one
-    loop over the residents, in the same order, advances their work, and
-    the step records in ``state._advanced`` whether any VM's remaining
-    work changed, a VM finishing included.
+    loop over the residents, in the same order, advances their work.
 
     ``sharing`` lists static (state, scenario) runs that hold this run's
     VM states and host resident lists, as ``run_lockstep`` arranges; this
@@ -243,25 +219,16 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
             run.constant = _constant(run.hosts, run_scenario)
     frame = state.frame_index
     active = state.active
-    trace = state.trace
-    if trace.frame != frame or len(trace.current) != len(state.vms):
-        if frame != 0 and frame != trace.frame + 1:
-            raise RuntimeError("a run at frame %d shares a workload trace at frame %d"
-                               % (frame, trace.frame))
-        trace.frame, trace.previous, trace.current = frame, trace.current, [None] * len(state.vms)
     measurements = len(active)
     violations = 0
     shortfall_sum = 0.0
-    advanced = False  # whether any VM's remaining work has changed
 
-    # 1. sample utilization, the whole fleet's residents in one batch, host
-    # by host in resident order: a reflected random walk over keyed uniform
-    # draws, so the trace for (seed, vm, frame) is policy-independent
+    # 1. utilization from the trace, the whole fleet's residents in one
+    # batch, host by host in resident order: a reflected random walk over
+    # keyed uniform draws, so the trace for (seed, vm, frame) is
+    # policy-independent
     ids = [vm_id for host in state.hosts for vm_id in host.resident_vms]
-    if sampler is None:
-        utilizations = state.rng.walk_residents(ids, frame, trace.current, trace.previous)
-    else:
-        utilizations = [sampler(vm_id, frame) for vm_id in ids]
+    utilizations = state.trace.utilizations(ids, frame, len(state.vms))
     fleet = list(map(state.vms.__getitem__, ids))
     fleet_demands = list(map(mul, utilizations, map(state.constant[4].__getitem__, ids)))
 
@@ -298,10 +265,7 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
         work, left = a * dt, vm.remaining_work_mi
         if work < left:
             vm.remaining_work_mi = left - work
-            if not advanced:
-                advanced = left - work != left
         else:
-            advanced = True
             vm.remaining_work_mi = 0.0
             vm_id = vm.spec.id
             state.hosts[vm.host_id].resident_vms.remove(vm_id)
@@ -316,7 +280,6 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
         before = run.energy_wh
         run.energy_wh = _charge(before, run.hosts, loads, run.constant, dt)
         frame_wh.append(run.energy_wh - before)
-    state._advanced = advanced
 
     # 5. policy reallocation, applied atomically
     plan = policies.reallocate(scenario.policy, state.hosts, active, state.rng)
@@ -343,13 +306,13 @@ def step(state: SimulationState, scenario: Scenario, sampler=None, sharing=()):
     return state.frames[-1]
 
 
-def simulate(scenario: Scenario, seed=None, sampler=None):
+def simulate(scenario: Scenario, seed=None):
     """Run to completion; returns (final state, aggregated RunMetrics)."""
     state = initial_placement(scenario, seed=seed)
-    return state, run_lockstep([(state, scenario)], sampler=sampler)[0]
+    return state, run_lockstep([(state, scenario)])[0]
 
 
-def run_lockstep(runs, sampler=None):
+def run_lockstep(runs):
     """Step placed (state, scenario) runs side by side until each ends.
 
     Every run steps frame ``f`` before any steps ``f + 1``, so runs that
@@ -357,31 +320,38 @@ def run_lockstep(runs, sampler=None):
     and DVFS) on one trace, whose scenarios are equal apart from the policy
     and whose VMs stand alike, step as one: the first of them holds the VM
     states for all, and each frame one pass samples, shares, counts SLA
-    events, advances work and retires VMs for all of them (calling
-    ``sampler``, if given, once per VM and frame), while each keeps its own
-    power states and energy.  Returns each run's RunMetrics, in order; they
-    equal those of independent runs.  Raises ``StalledRunError`` when a run
-    reaches MAX_FRAMES frames, or when a frame advances none of its VMs'
-    work, as the step records it (for a shared pass, in the state of its
-    first run), and no VM's work could change in a frame even at its
-    requested MIPS.  A frame in which every VM happens to idle is no stall.
+    events, advances work and retires VMs for all of them, while each keeps
+    its own power states and energy.  Returns each run's RunMetrics, in
+    order; they equal those of independent runs.
 
-    It raises the first of those before the first frame when some VM cannot
-    finish in the frames left, ``F``, unless no VM's work can change in a
-    frame at all, which the first frame reports.  A VM's share never exceeds
-    its requested MIPS ``r``, so it needs at least ``W / (r * dt)`` frames
-    for its remaining work ``W``.  Rounding cannot rescue it: each frame's
-    ``left - work`` errs by at most ``2**-53 * W``, so a VM that does finish
-    in ``F`` frames has a computed ratio of at most ``F * (1 + F * 2**-52)``,
-    within ``F * (1 + 1e-9)`` for any ``F <= MAX_FRAMES``.
+    Raises ``StalledRunError`` before the first frame when some VM cannot
+    finish in the frames left, ``F``: that the run cannot end when no VM's
+    work could change in a frame even at its requested MIPS, and otherwise
+    that it would reach MAX_FRAMES.  A VM's share never exceeds its
+    requested MIPS ``r``, so it needs at least ``W / (r * dt)`` frames for
+    its remaining work ``W``, and one whose ``r * dt`` rounds to 0.0 never
+    advances.  Rounding cannot rescue it: each frame's ``left - work`` errs
+    by at most ``2**-53 * W``, so a VM that does finish in ``F`` frames has
+    a computed ratio of at most ``F * (1 + F * 2**-52)``, within
+    ``F * (1 + 1e-9)`` for any ``F <= MAX_FRAMES``.  A VM whose work a
+    frame at its requested MIPS leaves unchanged has a ratio of at least
+    ``2**52``, so once the check passes every VM can advance, and still can
+    as its work shrinks; a frame in which every VM happens to idle is no
+    stall.  A run that still reaches MAX_FRAMES, its VMs idling, raises
+    then.
     """
     for state, scenario in runs:
         frames = (MAX_FRAMES - state.frame_index) * (1 + 1e-9)
         dt, vms = scenario.frame_seconds, state.active.values()
-        stuck = sum(vm.remaining_work_mi / (vm.spec.requested_mips * dt) > frames for vm in vms)
-        if stuck and _can_advance(vms, dt):
+        rates = [vm.spec.requested_mips * dt for vm in vms]
+        stuck = sum(not r or vm.remaining_work_mi / r > frames for vm, r in zip(vms, rates))
+        if stuck and any(vm.remaining_work_mi - r < vm.remaining_work_mi
+                         for vm, r in zip(vms, rates)):
             raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
                                   "unfinished; use longer frames" % (MAX_FRAMES, stuck))
+        if stuck:
+            raise StalledRunError("frame %d advanced no VM's remaining work; the run "
+                                  "cannot end" % state.frame_index)
     passes = []  # (the run that holds the VM states, the runs that share its pass)
     for run in runs:
         if not run[0].active:
@@ -399,19 +369,9 @@ def run_lockstep(runs, sampler=None):
                 raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
                                       "unfinished; use longer frames"
                                       % (MAX_FRAMES, len(state.active)))
-            step(state, scenario, sampler=sampler, sharing=sharing)
-            if not (state._advanced
-                    or _can_advance(state.active.values(), scenario.frame_seconds)):
-                raise StalledRunError("frame %d advanced no VM's remaining work; the run "
-                                      "cannot end" % (state.frame_index - 1))
+            step(state, scenario, sharing=sharing)
         passes = [p for p in passes if p[0][0].active]
     return [_run_metrics(state, scenario) for state, scenario in runs]
-
-
-def _can_advance(vms, dt) -> bool:
-    """Whether a frame of ``dt`` at its requested MIPS would change some VM's remaining work."""
-    return any(vm.remaining_work_mi - vm.spec.requested_mips * dt < vm.remaining_work_mi
-               for vm in vms)
 
 
 def _alike(lead, run):

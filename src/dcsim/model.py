@@ -34,8 +34,8 @@ def add_up(values) -> float:
 
 def check_power_curve(p_max_watts, idle_fraction):
     """Raise ValueError unless (P_max, k) define a valid linear power curve."""
-    if p_max_watts <= 0:
-        raise ValueError("p_max_watts must be positive")
+    if not 0 < p_max_watts < math.inf:
+        raise ValueError("p_max_watts must be positive and finite")
     if not 0.0 <= idle_fraction <= 1.0:
         raise ValueError("idle_fraction must be in [0, 1]")
 
@@ -50,12 +50,9 @@ class HostSpec:
     idle_fraction: float
 
     def __post_init__(self):
-        if self.mips_capacity <= 0:
-            raise ValueError("mips_capacity must be positive")
-        if self.ram_mb <= 0:
-            raise ValueError("ram_mb must be positive")
-        if self.storage_gb <= 0:
-            raise ValueError("storage_gb must be positive")
+        for name in ("mips_capacity", "ram_mb", "storage_gb"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive and finite" % name)
         check_power_curve(self.p_max_watts, self.idle_fraction)
 
 
@@ -68,10 +65,11 @@ class VmSpec:
     total_work_mi: float
 
     def __post_init__(self):
-        if self.requested_mips <= 0:
-            raise ValueError("requested_mips must be positive")
-        if self.total_work_mi <= 0:
-            raise ValueError("total_work_mi must be positive")
+        for name in ("requested_mips", "total_work_mi"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive and finite" % name)
+        if not (math.isfinite(self.ram_mb) and math.isfinite(self.storage_gb)):
+            raise ValueError("ram_mb and storage_gb must be finite")
 
 
 @dataclass

@@ -1,15 +1,18 @@
-"""Seeded, portable random number generation for workload sampling.
+"""Seeded, portable random number generation, and the workload trace.
 
-Everything stochastic in a run flows through one SeededRng.  The
-generator is splitmix64 (Steele, Lea & Flood's 64-bit mixer): pure
+The generator is splitmix64 (Steele, Lea & Flood's 64-bit mixer): pure
 integer arithmetic, identical streams on every platform and Python
-version.  Platform default generators are deliberately not used.
+version.  Platform default generators are deliberately not used.  A run's
+``SeededRng`` is a sequential stream, which RC's random selection draws
+from, and ``keyed_u01``, the reference keyed draw.
 
 Utilization samples are *keyed* rather than sequential: the draw for a
-VM in a frame is a pure function of (seed, vm id, frame index).  Two
-policies run against the same seed therefore see identical per-VM
-workloads even when they migrate, complete, or power-manage
-differently, which keeps cross-policy comparisons pointwise meaningful.
+VM in a frame is a pure function of (seed, vm id, frame index), walked on
+from the VM's value at the frame before.  A run's ``WorkloadTrace`` holds
+its seed and makes those draws.  Two policies run against the same seed
+therefore see identical per-VM workloads even when they migrate, complete,
+or power-manage differently, which keeps cross-policy comparisons
+pointwise meaningful.
 """
 
 import sys
@@ -48,9 +51,6 @@ class SeededRng:
         self.seed = seed & _MASK64
         self._mixed_seed = _mix64(self.seed)
         self._counter = 0
-        # each VM's _mix_key(mixed seed, vm id) as a ``_top_bits`` lane, by vm
-        # id, for ``walk_residents``
-        self._first_mix = []
 
     def next_u64(self) -> int:
         self._counter += 1
@@ -69,54 +69,10 @@ class SeededRng:
 
         This is the reference chain: each key folded into the mixed seed
         (``_mix_key``) and the word made a unit float.  The engine draws
-        through ``walk_residents``, which gives the same value for a VM's
-        (vm, frame) draw.
+        through ``WorkloadTrace.utilizations``, which gives the same value
+        for a VM's (vm, frame) draw.
         """
         return _to_unit(_mix_key(self._mixed_seed, *keys))
-
-    def walk_residents(self, vm_ids, frame: int, current: list, previous: list) -> list:
-        """Each VM's walked utilization at ``frame``, in the order of ``vm_ids``.
-
-        ``current`` and ``previous`` are lists indexed by VM id, an id being
-        a position in the fleet, and ``current`` holds None for a VM not yet
-        drawn at ``frame``.  A VM already drawn is read from ``current``.
-        Any other is drawn and stored there: at frame 0 its keyed draw
-        ``keyed_u01(vm, 0)`` itself, later ``walk_utilization(previous[vm],
-        keyed_u01(vm, frame), DEFAULT_UTIL_STEP)``; ``previous`` is only read.
-        Each VM's first-key mix is computed once per generator and kept; the
-        frame's key is folded into all of them in one ``_top_bits`` batch,
-        and the walk's float operations are spelled out inline (``b * 2.0 **
-        -52`` is exactly ``2.0 * draw``).  When nothing in ``current`` is
-        drawn yet, as on a frame's first pass, every VM is drawn and the
-        values drawn are returned as they are.
-        """
-        first_mix = self._first_mix
-        if len(first_mix) < len(current):
-            first_mix += [_mix_key(self._mixed_seed, v).to_bytes(16, "little")
-                          for v in range(len(first_mix), len(current))]
-        # nothing drawn yet, as on a frame's first pass (the first id settles
-        # most later passes)
-        if vm_ids and current[vm_ids[0]] is None and current.count(None) == len(current):
-            drawn = vm_ids
-        else:
-            drawn = [v for v in vm_ids if current[v] is None]
-            if not drawn:
-                return list(map(current.__getitem__, vm_ids))
-        bits = _top_bits(b"".join(map(first_mix.__getitem__, drawn)), (frame * _GOLDEN) & _MASK64)
-        values = []
-        append = values.append
-        if frame:
-            step = DEFAULT_UTIL_STEP
-            for vm_id, b in zip(drawn, bits):
-                # walk_utilization, then reflect_unit
-                u = (previous[vm_id] + step * (b * 2.0 ** -52 - 1.0)) % 2.0
-                current[vm_id] = u = 2.0 - u if u > 1.0 else u
-                append(u)
-        else:
-            for vm_id, b in zip(drawn, bits):
-                current[vm_id] = u = b * 2.0 ** -53
-                append(u)
-        return values if drawn is vm_ids else list(map(current.__getitem__, vm_ids))
 
 
 # Words per packed integer in ``_top_bits``.  Each word has a 128-bit lane of
@@ -150,42 +106,94 @@ def _top_bits(lanes: bytes, fold: int) -> list:
     return top
 
 
-def utilization_at(seed: int, vm_id: int, frame_index: int) -> float:
-    """Keyed utilization sample for a VM in a frame; pure in its arguments."""
-    return _to_unit(_mix_key(_mix64(seed), vm_id, frame_index))
-
-
-# Default per-frame step of the utilization random walk, as a fraction of
-# full CPU.  The walk reflects at 0 and 1, which preserves an exactly
-# uniform marginal distribution at every frame while giving workloads
-# the short-term stability of real applications.
+# Per-frame step of the utilization random walk, as a fraction of full
+# CPU.  The walk reflects at 0 and 1, which preserves an exactly uniform
+# marginal distribution at every frame while giving workloads the
+# short-term stability of real applications.
 DEFAULT_UTIL_STEP = 0.2
 
 
-def reflect_unit(x: float) -> float:
-    """Fold x into [0, 1] by reflection at the interval bounds."""
-    x = x % 2.0
-    return 2.0 - x if x > 1.0 else x
-
-
 def walk_utilization(previous: float, draw: float, step: float) -> float:
-    """Advance a reflected uniform random walk by one keyed draw in [0, 1)."""
-    return reflect_unit(previous + step * (2.0 * draw - 1.0))
+    """Advance a reflected uniform random walk by one keyed draw in [0, 1).
 
-
-def utilization_walk(seed: int, vm_id: int, frame_index: int,
-                     step: float = DEFAULT_UTIL_STEP) -> float:
-    """Utilization of a VM at a frame under the reflected random walk.
-
-    Frame 0 is a keyed uniform draw; each later frame moves by a keyed
-    uniform increment in [-step, +step], reflected into [0, 1].  Pure in
-    its arguments, so two policies sharing a seed see identical per-VM
-    workload traces regardless of how they migrate or power-manage.
+    The walk moves by ``step * (2.0 * draw - 1.0)`` and is folded back into
+    [0, 1] by reflection at its bounds.
     """
-    u = utilization_at(seed, vm_id, 0)
-    for t in range(1, frame_index + 1):
-        u = walk_utilization(u, utilization_at(seed, vm_id, t), step)
-    return u
+    u = (previous + step * (2.0 * draw - 1.0)) % 2.0
+    return 2.0 - u if u > 1.0 else u
+
+
+class WorkloadTrace:
+    """A run's workload under one seed: each VM's utilization at the latest two frames.
+
+    A VM's utilization at frame 0 is its keyed draw ``keyed_u01(vm, 0)``
+    under the trace's seed; at a later frame ``f`` it is
+    ``walk_utilization(u, keyed_u01(vm, f), DEFAULT_UTIL_STEP)``, ``u``
+    being its value at ``f - 1``.  Runs of that seed that share a trace,
+    and step frame ``f`` before any of them steps ``f + 1``, see one
+    workload: the first to need a VM at a frame draws it, the others read
+    it.  The trace holds two values per VM, in two lists indexed by VM id
+    (``current[v]`` is None until VM ``v`` is drawn at ``frame``), however
+    many frames or runs read it.
+    """
+
+    __slots__ = ("seed", "frame", "current", "previous", "_lanes")
+
+    def __init__(self, seed: int):
+        self.seed = seed & _MASK64
+        self.frame = 0
+        self.current = []  # utilization at ``frame``, by vm id
+        self.previous = []  # utilization at ``frame - 1``, by vm id
+        # each VM's _mix_key(mixed seed, vm id) as a ``_top_bits`` lane, by vm id
+        self._lanes = []
+
+    def utilizations(self, vm_ids, frame: int, fleet_size: int) -> list:
+        """Each VM's utilization at ``frame``, in the order of ``vm_ids``.
+
+        VM ids are positions in a fleet of ``fleet_size``.  The first call
+        at a frame turns the trace over to it, with ``current`` one None
+        per VM; it raises ``RuntimeError`` unless the frame is 0 or the
+        one after the trace's, as when runs sharing the trace fall out of
+        lockstep.  A VM already drawn at ``frame`` is read from
+        ``current``; any other is drawn and stored there.  Each VM's
+        first-key mix is computed once per trace and kept; the frame's key
+        is folded into all of them in one ``_top_bits`` batch, and the
+        walk's float operations are spelled out inline (``b * 2.0 ** -52``
+        is exactly ``2.0 * draw``).  On a frame's first call every VM is
+        drawn and the values drawn are returned as they are.
+        """
+        current = self.current
+        if self.frame != frame or len(current) != fleet_size:
+            if frame != 0 and frame != self.frame + 1:
+                raise RuntimeError("a run at frame %d shares a workload trace at frame %d"
+                                   % (frame, self.frame))
+            self.frame, self.previous = frame, current
+            self.current = current = [None] * fleet_size
+            drawn = vm_ids
+        else:
+            drawn = [v for v in vm_ids if current[v] is None]
+            if not drawn:
+                return list(map(current.__getitem__, vm_ids))
+        lanes = self._lanes
+        if len(lanes) < fleet_size:
+            mixed_seed = _mix64(self.seed)
+            lanes += [_mix_key(mixed_seed, v).to_bytes(16, "little")
+                      for v in range(len(lanes), fleet_size)]
+        bits = _top_bits(b"".join(map(lanes.__getitem__, drawn)), (frame * _GOLDEN) & _MASK64)
+        values = []
+        append = values.append
+        if frame:
+            previous, step = self.previous, DEFAULT_UTIL_STEP
+            for vm_id, b in zip(drawn, bits):
+                # walk_utilization, reflection included
+                u = (previous[vm_id] + step * (b * 2.0 ** -52 - 1.0)) % 2.0
+                current[vm_id] = u = 2.0 - u if u > 1.0 else u
+                append(u)
+        else:
+            for vm_id, b in zip(drawn, bits):
+                current[vm_id] = u = b * 2.0 ** -53
+                append(u)
+        return values if drawn is vm_ids else list(map(current.__getitem__, vm_ids))
 
 
 def child_rng(rng, run_index: int) -> SeededRng:

@@ -10,8 +10,8 @@ import pytest
 
 from dcsim import engine
 from dcsim import (InfeasibleScenarioError, SimulationState, StalledRunError, WorkloadTrace,
-                   default_paper_scenario, initial_placement, power, share_mips, simulate,
-                   step)
+                   default_paper_scenario, initial_placement, placed_state, power, share_mips,
+                   simulate, step)
 from dcsim.model import HostSpec, HostState, PolicyConfig, Scenario, VmSpec, VmState
 from dcsim.power import accumulate
 from dcsim.workload import SeededRng, child_rng
@@ -32,6 +32,29 @@ def small_scenario(policy="DVFS", n_hosts=2, vm_mips=(250.0,), frame=60.0,
 
 def pinned(u):
     return lambda vm_id, frame: u
+
+
+class SampledTrace(WorkloadTrace):
+    """A workload trace whose utilizations ``sampler(vm_id, frame)`` gives, called
+    once per VM asked for, in the order asked."""
+
+    def __init__(self, seed, sampler):
+        super().__init__(seed)
+        self.sampler = sampler
+
+    def utilizations(self, vm_ids, frame, fleet_size):
+        return [self.sampler(vm_id, frame) for vm_id in vm_ids]
+
+
+def sampled(sc, sampler):
+    """``sc`` placed, at frame 0, on a trace that ``sampler`` gives."""
+    return initial_placement(sc, trace=SampledTrace(sc.seed, sampler))
+
+
+def simulate_sampled(sc, sampler):
+    """``simulate(sc)`` on a trace that ``sampler`` gives."""
+    state = sampled(sc, sampler)
+    return state, engine.run_lockstep([(state, sc)])[0]
 
 
 def host_1000():
@@ -84,7 +107,7 @@ def test_single_vm_dvfs_frame_energy_and_duration():
     # 250-MIPS VM pinned at 100% on a 1000-MIPS host: P(0.25) = 193.75 W,
     # one 60 s frame is 3.2291... Wh, and 150000 MI take exactly 600 s
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
-    state, metrics = simulate(sc, sampler=pinned(1.0))
+    state, metrics = simulate_sampled(sc, pinned(1.0))
     assert metrics.sim_duration_s == pytest.approx(600.0)
     assert state.frames[0].energy_wh == pytest.approx(193.75 * 60.0 / 3600.0)
     assert metrics.energy_kwh == pytest.approx(10 * 193.75 * 60.0 / 3600.0 / 1000.0)
@@ -92,7 +115,7 @@ def test_single_vm_dvfs_frame_energy_and_duration():
 
 def test_single_vm_npa_draws_peak_power():
     sc = small_scenario(policy="NPA", n_hosts=1, vm_mips=(250.0,))
-    state, metrics = simulate(sc, sampler=pinned(1.0))
+    state, metrics = simulate_sampled(sc, pinned(1.0))
     assert state.frames[0].energy_wh == pytest.approx(250.0 * 60.0 / 3600.0)
 
 
@@ -139,7 +162,7 @@ def test_work_conservation_small():
 
 def test_completed_vms_leave_their_hosts():
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
-    state, _ = simulate(sc, sampler=pinned(1.0))
+    state, _ = simulate_sampled(sc, pinned(1.0))
     assert state.vms[0].host_id is None
     assert state.vms[0].demand_mips == 0.0
     assert all(not h.resident_vms for h in state.hosts)
@@ -150,10 +173,10 @@ def test_completed_vms_leave_their_hosts():
         (math.nextafter(15000.0, math.inf), False)])  # the share is one ulp short of it
 def test_a_vm_finishes_when_its_share_covers_its_work(left, finished):
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,), frame=60.0)
-    state = initial_placement(sc)
+    state = sampled(sc, pinned(1.0))
     vm = state.vms[0]
     vm.remaining_work_mi = left
-    step(state, sc, sampler=pinned(1.0))
+    step(state, sc)
     if finished:
         assert vm.remaining_work_mi == 0.0 and math.copysign(1.0, vm.remaining_work_mi) == 1.0
         assert vm.host_id is None and not state.active and not state.hosts[0].resident_vms
@@ -199,14 +222,14 @@ def test_sla_accounting_on_oversubscription():
     # both VMs pinned at 100% on one 1000-MIPS host: each gets 500 of 600
     sc = small_scenario(policy="DVFS", n_hosts=2, vm_mips=(600.0, 600.0),
                         work=30000.0)
-    state = initial_placement(sc)
+    state = sampled(sc, pinned(1.0))
     # force both onto host 0 to create the overload
     state.hosts[0].resident_vms = [0, 1]
     state.hosts[1].powered_on = False
     state.hosts[1].resident_vms = []
     for vm in state.vms:
         vm.host_id = 0
-    metrics = step(state, sc, sampler=pinned(1.0))
+    metrics = step(state, sc)
     assert metrics.violation_events == 2
     assert metrics.measurements == 2
     # shortfall is (600-500)/600 per VM
@@ -224,14 +247,16 @@ def test_oversubscribed_host_draws_exactly_peak_power():
     sc = Scenario(hosts=(spec,), vms=tuple(vm_specs), policy=PolicyConfig("DVFS"),
                   frame_seconds=60.0)
     state = SimulationState(frame_index=0, hosts=[HostState(spec=spec, resident_vms=[0, 1, 2])],
-                            vms=vms, rng=SeededRng(1), active={v.spec.id: v for v in vms})
-    metrics = step(state, sc, sampler=pinned(1.0))
+                            vms=vms, rng=SeededRng(1), trace=SampledTrace(1, pinned(1.0)),
+                            active={v.spec.id: v for v in vms})
+    metrics = step(state, sc)
     assert metrics.violation_events == 3
     assert metrics.energy_wh == power(spec, 1.0) * 60.0 / 3600.0
 
 
-def two_odd_hosts(policy, work_mi, second_on):
-    """One VM of 250.1 MIPS on host 0 and an empty host 1, both 247.3 W with idle 0.61."""
+def two_odd_hosts(policy, work_mi, second_on, u):
+    """One VM of 250.1 MIPS on host 0 and an empty host 1, both 247.3 W with idle 0.61;
+    the VM's utilization is ``u`` in every frame."""
     specs = tuple(HostSpec(id=i, mips_capacity=1000.0, ram_mb=8192.0, storage_gb=1024.0,
                            p_max_watts=247.3, idle_fraction=0.61) for i in range(2))
     vm_spec = VmSpec(id=0, requested_mips=250.1, ram_mb=128.0, storage_gb=1.0,
@@ -242,23 +267,23 @@ def two_odd_hosts(policy, work_mi, second_on):
     sc = Scenario(hosts=specs, vms=(vm_spec,), policy=PolicyConfig(policy),
                   frame_seconds=60.0)
     return SimulationState(frame_index=0, hosts=hosts, vms=[vm], rng=SeededRng(1),
-                           active={0: vm}, energy_wh=0.1), sc
+                           trace=SampledTrace(1, pinned(u)), active={0: vm}, energy_wh=0.1), sc
 
 
 def test_empty_dvfs_hosts_draw_idle_when_on_and_nothing_when_off():
     # host 0's only VM finishes in frame 0; host 1 is off throughout
-    state, sc = two_odd_hosts("DVFS", 15000.0, second_on=False)
-    step(state, sc, sampler=pinned(1.0))
+    state, sc = two_odd_hosts("DVFS", 15000.0, second_on=False, u=1.0)
+    step(state, sc)
     assert not state.active and state.hosts[0].powered_on
     before = state.energy_wh
-    step(state, sc, sampler=pinned(1.0))
+    step(state, sc)
     assert state.energy_wh == before + power(sc.hosts[0], 0.0) * 60.0 / 3600.0
     assert state.frames[-1].energy_wh == state.energy_wh - before
 
 
 def test_empty_npa_host_draws_peak_power():
-    state, sc = two_odd_hosts("NPA", 150000.0, second_on=True)
-    step(state, sc, sampler=pinned(0.5))
+    state, sc = two_odd_hosts("NPA", 150000.0, second_on=True, u=0.5)
+    step(state, sc)
     assert state.energy_wh == 0.1 + 247.3 * 60.0 / 3600.0 + 247.3 * 60.0 / 3600.0
 
 
@@ -271,10 +296,10 @@ def test_empty_hosts_are_neither_shared_nor_powered(monkeypatch):
     monkeypatch.setattr(engine, "share_mips", spy)
     # one VM on host 0; hosts 1 to 3 are empty, host 1 is on and 2 and 3 are off
     sc = small_scenario(policy="DVFS", n_hosts=4, vm_mips=(250.0,))
-    state = initial_placement(sc)
+    state = sampled(sc, pinned(1.0))
     state.hosts[1].powered_on = True
     assert [h.powered_on for h in state.hosts] == [True, True, False, False]
-    step(state, sc, sampler=pinned(1.0))
+    step(state, sc)
     assert shared == [0]
     # host 0 at its load, then host 1's idle draw, and nothing for hosts 2 and 3
     spec = sc.hosts[0]
@@ -288,9 +313,9 @@ def test_frame_that_advances_no_work_stops_the_run(monkeypatch):
     # frame is a stall of its own; the frame limit ends the run
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
     monkeypatch.setattr(engine, "MAX_FRAMES", 12)
-    state = initial_placement(sc)
+    state = sampled(sc, pinned(0.0))
     with pytest.raises(StalledRunError, match="limit of 12 frames with 1 VM"):
-        engine.run_lockstep([(state, sc)], sampler=pinned(0.0))
+        engine.run_lockstep([(state, sc)])
     assert state.frame_index == 12 and state.vms[0].remaining_work_mi == 150000.0
 
 
@@ -298,7 +323,7 @@ def test_a_frame_that_advances_nothing_after_one_that_did_stops_the_run(monkeypa
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
     monkeypatch.setattr(engine, "MAX_FRAMES", 12)
     with pytest.raises(StalledRunError, match="limit of 12 frames with 1 VM"):
-        simulate(sc, sampler=lambda vm_id, frame: 1.0 if frame == 0 else 0.0)
+        simulate_sampled(sc, lambda vm_id, frame: 1.0 if frame == 0 else 0.0)
 
 
 def test_a_vm_finishing_at_exactly_zero_is_progress(monkeypatch):
@@ -307,9 +332,9 @@ def test_a_vm_finishing_at_exactly_zero_is_progress(monkeypatch):
     # idle VM is left, and the run goes on to its frame limit
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0, 250.0), work=15000.0)
     monkeypatch.setattr(engine, "MAX_FRAMES", 12)
-    state = initial_placement(sc)
+    state = sampled(sc, lambda vm_id, frame: float(vm_id == 0))
     with pytest.raises(StalledRunError, match="limit of 12 frames with 1 VM"):
-        engine.run_lockstep([(state, sc)], sampler=lambda vm_id, frame: float(vm_id == 0))
+        engine.run_lockstep([(state, sc)])
     assert state.frame_index == 12
     assert state.vms[0].remaining_work_mi == 0.0 and list(state.active) == [1]
 
@@ -320,12 +345,12 @@ def test_a_shared_static_pass_stalls_as_a_run_of_its_own(monkeypatch):
     sc = small_scenario(policy="DVFS", n_hosts=2, vm_mips=(250.0, 500.0))
     monkeypatch.setattr(engine, "MAX_FRAMES", 12)
     with pytest.raises(StalledRunError) as alone:
-        simulate(sc, sampler=sampler)
-    trace = WorkloadTrace()
+        simulate_sampled(sc, sampler)
+    trace = SampledTrace(sc.seed, sampler)
     scenarios = [replace(sc, policy=PolicyConfig(kind)) for kind in ("NPA", "DVFS")]
     runs = [(initial_placement(s, trace=trace), s) for s in scenarios]
     with pytest.raises(StalledRunError) as shared:
-        engine.run_lockstep(runs, sampler=sampler)
+        engine.run_lockstep(runs)
     assert runs[1][0].active is runs[0][0].active  # the two runs made one pass
     assert str(shared.value) == str(alone.value) == (
         "the run reached its limit of 12 frames with 2 VM(s) unfinished; use longer frames")
@@ -342,7 +367,7 @@ def test_a_frame_in_which_every_vm_idles_is_not_a_stall():
     sc = Scenario(hosts=hosts, vms=vms, policy=PolicyConfig("DVFS"), seed=0)
     state = initial_placement(sc)
     step(state, sc)
-    assert state.vms[0].remaining_work_mi == 150000.0 and not state._advanced
+    assert state.vms[0].remaining_work_mi == 150000.0
     state, metrics = simulate(sc)
     assert not state.active and state.vms[0].remaining_work_mi == 0.0
     assert metrics.sim_duration_s == state.frame_index * sc.frame_seconds > 0
@@ -352,10 +377,10 @@ def test_run_stops_at_the_frame_limit(monkeypatch):
     # at full load the VM needs exactly 10 frames of 60 s
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
     monkeypatch.setattr(engine, "MAX_FRAMES", 10)
-    assert simulate(sc, sampler=pinned(1.0))[0].frame_index == 10
+    assert simulate_sampled(sc, pinned(1.0))[0].frame_index == 10
     monkeypatch.setattr(engine, "MAX_FRAMES", 9)
     with pytest.raises(StalledRunError, match="limit of 9 frames with 1 VM"):
-        simulate(sc, sampler=pinned(1.0))
+        simulate_sampled(sc, pinned(1.0))
 
 
 def test_run_that_cannot_finish_stops_before_its_first_frame(monkeypatch):
@@ -365,20 +390,40 @@ def test_run_that_cannot_finish_stops_before_its_first_frame(monkeypatch):
     monkeypatch.setattr(engine, "MAX_FRAMES", 9)
     frames = []
     with pytest.raises(StalledRunError, match="limit of 9 frames with 1 VM"):
-        simulate(sc, sampler=lambda vm_id, frame: frames.append(frame) or 1.0)
+        simulate_sampled(sc, lambda vm_id, frame: frames.append(frame) or 1.0)
     assert frames == []
     # a VM just over 10 frames' work is within the rounding margin, so the
     # run is stopped at the limit, not before
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,), work=150000.0 * (1 + 1e-10))
     monkeypatch.setattr(engine, "MAX_FRAMES", 10)
     with pytest.raises(StalledRunError, match="limit of 10 frames with 1 VM"):
-        simulate(sc, sampler=lambda vm_id, frame: frames.append(frame) or 1.0)
+        simulate_sampled(sc, lambda vm_id, frame: frames.append(frame) or 1.0)
     assert frames == list(range(10))
+
+
+def test_a_vm_whose_frame_rounds_to_no_work_stops_the_run_before_its_first_frame():
+    # 1e-200 MIPS for 1e-200 s underflows to 0.0 MI per frame: the frame bound
+    # once divided by it.  Alone, the VM leaves a run that cannot end; beside
+    # a VM that can advance, one that the frame limit stops.
+    hosts = (HostSpec(id=0, mips_capacity=1e201, ram_mb=8192.0, storage_gb=1024.0,
+                      p_max_watts=250.0, idle_fraction=0.7),)
+    slow, fast = (VmSpec(id=i, requested_mips=m, ram_mb=128.0, storage_gb=1.0, total_work_mi=1.0)
+                  for i, m in enumerate((1e-200, 1e200)))
+    frames = []
+    for vms, message in (((slow,), "frame 0 advanced no VM's remaining work; the run cannot end"),
+                         ((slow, fast),
+                          "the run reached its limit of 100000 frames with 1 VM(s) unfinished; "
+                          "use longer frames")):
+        sc = Scenario(hosts=hosts, vms=vms, policy=PolicyConfig("DVFS"), frame_seconds=1e-200)
+        assert vms[0].requested_mips * sc.frame_seconds == 0.0
+        with pytest.raises(StalledRunError) as stop:
+            simulate_sampled(sc, lambda vm_id, frame: frames.append(frame) or 1.0)
+        assert str(stop.value) == message and frames == []
 
 
 def test_runs_sharing_a_trace_must_step_in_lockstep():
     sc = small_scenario(policy="DVFS", n_hosts=2, vm_mips=(250.0, 500.0))
-    trace = WorkloadTrace()
+    trace = WorkloadTrace(sc.seed)
     ahead, behind = (initial_placement(sc, trace=trace) for _ in range(2))
     step(ahead, sc)
     step(behind, sc)
@@ -389,7 +434,7 @@ def test_runs_sharing_a_trace_must_step_in_lockstep():
 
 
 def test_only_static_runs_share_a_frame_pass():
-    trace = WorkloadTrace()
+    trace = WorkloadTrace(42)
     mm = replace(small_scenario(), policy=PolicyConfig("MM", 0.3, 0.7))
     dvfs = small_scenario(policy="DVFS")
     runs = [(initial_placement(sc, trace=trace), sc) for sc in (mm, dvfs)]
@@ -415,11 +460,7 @@ def test_runs_differ_across_child_seeds():
 
 
 class CountingRng(SeededRng):
-    """A SeededRng that counts its keyed and its sequential draws.
-
-    A keyed draw is a ``keyed_u01`` call or a VM that ``walk_residents`` is
-    given and that ``current`` holds as None, so it must draw it.
-    """
+    """A SeededRng that counts its keyed and its sequential draws."""
 
     keyed = sequential = 0
 
@@ -431,14 +472,23 @@ class CountingRng(SeededRng):
         self.keyed += 1
         return super().keyed_u01(*keys)
 
-    def walk_residents(self, vm_ids, frame, current, previous):
-        self.keyed += sum(1 for v in vm_ids if current[v] is None)
-        return super().walk_residents(vm_ids, frame, current, previous)
+
+class CountingTrace(WorkloadTrace):
+    """A WorkloadTrace that counts the keyed draws it makes: every VM asked for on
+    the first call at a frame, later each that ``current`` holds as None."""
+
+    keyed = 0
+
+    def utilizations(self, vm_ids, frame, fleet_size):
+        fresh = self.frame != frame or len(self.current) != fleet_size
+        self.keyed += sum(1 for v in vm_ids if fresh or self.current[v] is None)
+        return super().utilizations(vm_ids, frame, fleet_size)
 
 
 def run_counting_draws(sc):
     state = initial_placement(sc)
     state.rng = CountingRng(state.rng.seed)  # the same, still unused, stream
+    state.trace = CountingTrace(state.rng.seed)  # the same, still unused, trace
     while state.active:
         step(state, sc)
     return state
@@ -446,26 +496,40 @@ def run_counting_draws(sc):
 
 def test_one_keyed_draw_per_active_vm_per_frame():
     state = run_counting_draws(default_paper_scenario(policy="DVFS", n_hosts=20, n_vms=58))
-    assert state.rng.keyed == sum(f.measurements for f in state.frames)
+    assert state.rng.keyed + state.trace.keyed == sum(f.measurements for f in state.frames)
     assert state.rng.sequential == 0
 
 
 def test_rc_consumes_extra_draws_only_when_selecting():
     state = run_counting_draws(default_paper_scenario(
         policy="RC", lower_threshold=0.3, upper_threshold=0.7, n_hosts=20, n_vms=58))
-    assert state.rng.keyed == sum(f.measurements for f in state.frames)
+    assert state.rng.keyed + state.trace.keyed == sum(f.measurements for f in state.frames)
     assert state.rng.sequential > 0
+
+
+def test_a_run_refuses_a_trace_of_another_seed():
+    # sharing it would hand the run another seed's workload
+    sc = small_scenario(vm_mips=(250.0, 500.0))
+    plan = engine.place_fleet(sc)
+    with pytest.raises(ValueError, match="run of seed 7 cannot share a workload trace of seed 8"):
+        placed_state(sc, plan, seed=7, trace=WorkloadTrace(8))
+    with pytest.raises(ValueError, match="run of seed 42 cannot share"):
+        initial_placement(sc, trace=WorkloadTrace(child_rng(42, 0).seed))
+    trace = WorkloadTrace(7)
+    assert placed_state(sc, plan, seed=7, trace=trace).trace is trace
+    assert placed_state(sc, plan, seed=7).trace.seed == 7
 
 
 
 def test_sampler_is_called_host_by_host_in_resident_order():
     sc = default_paper_scenario(policy="MM", lower_threshold=0.3, upper_threshold=0.7,
                                 n_hosts=12, n_vms=36)
-    state = initial_placement(sc)
+    calls = []
+    state = sampled(sc, lambda v, f: calls.append((v, f)) or (v * 37 + f) % 100 / 100)
     for _ in range(5):
         expected = [(v, state.frame_index) for h in state.hosts for v in h.resident_vms]
-        calls = []
-        step(state, sc, sampler=lambda v, f: calls.append((v, f)) or (v * 37 + f) % 100 / 100)
+        calls.clear()
+        step(state, sc)
         assert calls == expected
 
 
@@ -488,15 +552,15 @@ def test_every_binding_the_benchmark_traces_resolves():
 
 def test_frame_clock_advances_by_frame_seconds():
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,), frame=30.0)
-    state = initial_placement(sc)
-    step(state, sc, sampler=pinned(1.0))
+    state = sampled(sc, pinned(1.0))
+    step(state, sc)
     assert state.frame_index == 1
 
 
 def test_zero_utilization_frames_make_no_progress():
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
-    state = initial_placement(sc)
-    step(state, sc, sampler=pinned(0.0))
+    state = sampled(sc, pinned(0.0))
+    step(state, sc)
     assert state.vms[0].remaining_work_mi == 150000.0
     # an idle powered-on host still draws idle power
     assert state.frames[0].energy_wh == pytest.approx(175.0 * 60.0 / 3600.0)

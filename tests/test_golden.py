@@ -149,7 +149,7 @@ def test_static_rows_sharing_a_pass_equal_independent_runs(rows):
     _assert_rows_equal_independent_runs(scenario, rows)
     # the same rows through run_lockstep, state by state
     seed = child_rng(scenario.seed, 1).seed
-    trace = WorkloadTrace()
+    trace = WorkloadTrace(seed)
     runs = [(initial_placement(sc, seed=seed, trace=trace), sc)
             for sc in (replace(scenario, policy=row) for row in rows)]
     for (state, sc), metrics in zip(runs, run_lockstep(runs)):
@@ -166,7 +166,7 @@ def test_static_rows_sharing_a_pass_equal_independent_runs(rows):
 def test_static_runs_share_a_pass_only_when_placed_alike():
     # frames of another length, a VM with other work left, another trace
     scenario = _mixed_fleet()
-    trace = WorkloadTrace()
+    trace = WorkloadTrace(scenario.seed)
     runs = [(initial_placement(sc, trace=trace), sc)
             for sc in (replace(scenario, policy=DVFS), replace(scenario, policy=DVFS),
                        replace(scenario, policy=NPA, frame_seconds=45.0))]
@@ -198,21 +198,24 @@ def test_static_rows_make_one_host_pass(monkeypatch):
 
 
 def test_each_vm_frame_is_drawn_once_per_run_index(monkeypatch):
-    # a draw is a keyed_u01 call or a VM that walk_residents must draw, one
-    # that the trace's ``current`` holds as None
+    # a draw is a keyed_u01 call or a VM that WorkloadTrace.utilizations must
+    # draw: any on the first call at a frame, later one that the trace's
+    # ``current`` holds as None
     draws = []
-    keyed_u01, walk_residents = SeededRng.keyed_u01, SeededRng.walk_residents
+    keyed_u01, utilizations = SeededRng.keyed_u01, WorkloadTrace.utilizations
 
     def counting(rng, *keys):
         draws.append((rng.seed,) + keys)
         return keyed_u01(rng, *keys)
 
-    def counting_residents(rng, vm_ids, frame, current, previous):
-        draws.extend((rng.seed, v, frame) for v in vm_ids if current[v] is None)
-        return walk_residents(rng, vm_ids, frame, current, previous)
+    def counting_utilizations(trace, vm_ids, frame, fleet_size):
+        fresh = trace.frame != frame or len(trace.current) != fleet_size
+        draws.extend((trace.seed, v, frame) for v in vm_ids
+                     if fresh or trace.current[v] is None)
+        return utilizations(trace, vm_ids, frame, fleet_size)
 
     monkeypatch.setattr(SeededRng, "keyed_u01", counting)
-    monkeypatch.setattr(SeededRng, "walk_residents", counting_residents)
+    monkeypatch.setattr(WorkloadTrace, "utilizations", counting_utilizations)
     scenario = _mixed_fleet()
     run_experiment(ExperimentSpec(scenario=scenario, policies=MIXED_ROWS))
     assert len(draws) == len(set(draws))

@@ -39,6 +39,25 @@ def test_vm_spec_validation(field, value):
         vm_spec(**{field: value})
 
 
+# NaN and inf once passed every ``<= 0`` check: a VM of NaN RAM was placed
+# as if it needed none
+NON_FINITE = pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+
+
+@NON_FINITE
+@pytest.mark.parametrize("field", ["mips_capacity", "ram_mb", "storage_gb", "p_max_watts"])
+def test_host_spec_rejects_a_non_finite_size(field, value):
+    with pytest.raises(ValueError, match="%s.* finite" % field):
+        host_spec(**{field: value})
+
+
+@NON_FINITE
+@pytest.mark.parametrize("field", ["requested_mips", "total_work_mi", "ram_mb", "storage_gb"])
+def test_vm_spec_rejects_a_non_finite_size(field, value):
+    with pytest.raises(ValueError, match="%s.* finite" % field):
+        vm_spec(**{field: value})
+
+
 def test_add_up_rounds_after_each_term_left_to_right():
     # a compensated or exact sum gives 2.0; rounding after each term loses both 1.0s
     assert add_up([1e16, 1.0, 1.0, -1e16]) == 0.0

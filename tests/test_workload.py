@@ -1,12 +1,12 @@
-"""Seeded RNG, keyed sampling, and the reflected utilization walk."""
+"""Seeded RNG, keyed sampling, the reflected utilization walk and the workload trace."""
 
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dcsim.workload import (DEFAULT_UTIL_STEP, SeededRng, _mix64, _top_bits, child_rng,
-                            reflect_unit, utilization_at, utilization_walk, walk_utilization)
+from dcsim.workload import (DEFAULT_UTIL_STEP, SeededRng, WorkloadTrace, _mix64, _top_bits,
+                            child_rng, walk_utilization)
 
 
 def test_same_seed_same_stream():
@@ -63,8 +63,11 @@ def test_keyed_draw_is_order_independent():
 
 
 def test_keyed_draw_matches_pure_function():
+    # a trace's frame-0 draw is the keyed draw, whatever was drawn before
     rng = SeededRng(31)
-    assert rng.keyed_u01(4, 9) == utilization_at(31, 4, 9)
+    assert [rng.keyed_u01(4, 0)] == WorkloadTrace(31).utilizations([4], 0, 5)
+    rng.next_u64()
+    assert [rng.keyed_u01(4, 0)] == WorkloadTrace(31).utilizations([4], 0, 5)
 
 
 _M64 = (1 << 64) - 1
@@ -91,8 +94,8 @@ _ids = st.one_of(st.integers(-1000, 1000), st.integers(-2 ** 70, 2 ** 70),
                  st.integers(2 ** 64, 2 ** 66))
 
 
-# VM ids as walk_residents takes them: positions in a fleet, which index
-# the trace's lists
+# VM ids as WorkloadTrace.utilizations takes them: positions in a fleet,
+# which index the trace's lists
 _positions = st.integers(0, 300)
 
 
@@ -100,16 +103,16 @@ _positions = st.integers(0, 300)
        st.lists(_positions, max_size=5), st.lists(_positions, max_size=3))
 def test_keyed_draw_equals_the_mix_chain_cached_or_not(seed, keys, earlier, vms):
     assert SeededRng(seed).keyed_u01(*keys) == _unit(_chain(seed, *keys))
-    # walk_residents keeps each VM's first-key mix: with that cache filled for
+    # the trace keeps each VM's first-key mix: with that cache filled for
     # other (and maybe the same) ids, over fleets of other sizes, a VM's
     # frame-0 draw is still the chain's
-    rng = SeededRng(seed)
+    trace = WorkloadTrace(seed)
     for first in earlier:
-        rng.walk_residents([first], 0, [None] * (first + 1), [])
+        trace.utilizations([first], 0, first + 1)
     for vm in vms:
         expected = [_unit(_chain(seed, vm, 0))]
-        assert rng.walk_residents([vm], 0, [None] * (vm + 1), []) == expected
-        assert rng.walk_residents([vm], 0, [None] * 302, []) == expected
+        assert trace.utilizations([vm], 0, vm + 1) == expected
+        assert trace.utilizations([vm], 0, 302) == expected
 
 
 _units = st.floats(0.0, 1.0)
@@ -117,8 +120,7 @@ _units = st.floats(0.0, 1.0)
 
 @given(st.integers(-2 ** 70, 2 ** 70), st.integers(1, 12), st.integers(0, 40), st.data())
 def test_resident_batch_equals_keyed_draws_walked(seed, size, frame, data):
-    # repeats allowed; with nothing pre-filled, every id is drawn (a frame's
-    # first pass), otherwise only those not yet in ``current``
+    # repeats allowed; every id not yet in ``current`` is drawn
     vm_ids = data.draw(st.lists(st.integers(0, size - 1), max_size=8))
     previous = data.draw(st.lists(_units, min_size=size, max_size=size))
     filled = data.draw(st.dictionaries(st.integers(0, size - 1), _units))
@@ -135,8 +137,9 @@ def test_resident_batch_over_several_packed_integers_equals_keyed_draws_walked(f
 
 @pytest.mark.parametrize("frame", [0, 7])
 def test_first_pass_over_several_packed_integers_equals_keyed_draws_walked(frame):
-    # the same 1400 ids with nothing drawn yet: all are drawn, repeats too
-    _check_large_batch(frame, prefilled=0)
+    # the same 1400 ids on the first call at the frame, which turns the trace
+    # over to it: all are drawn, repeats too
+    _check_large_batch(frame, prefilled=None)
 
 
 def _check_large_batch(frame, prefilled):
@@ -144,25 +147,33 @@ def _check_large_batch(frame, prefilled):
     vm_ids = list(range(1300)) + rng.sample(range(1300), 100)
     rng.shuffle(vm_ids)
     previous = [rng.random() for _ in range(1300)]
-    filled = {v: rng.random() for v in rng.sample(range(1300), prefilled)}
+    filled = {v: rng.random() for v in rng.sample(range(1300), prefilled or 0)}
     assert sum(v not in filled for v in vm_ids) > 1024
-    _check_batch(2 ** 64 - 1, vm_ids, frame, previous, filled)
+    _check_batch(2 ** 64 - 1, vm_ids, frame, previous, filled if prefilled is not None else None)
 
 
 def _check_batch(seed, vm_ids, frame, previous, filled):
+    """``WorkloadTrace.utilizations`` at ``frame``, after ``previous``, against the
+    keyed draws walked.  ``filled`` maps the VMs already drawn at ``frame``; when
+    it is None, the call is the frame's first and turns the trace over to it."""
     expected = [None] * len(previous)
-    for v, u in filled.items():  # a VM already drawn at this frame is read, not drawn again
+    for v, u in (filled or {}).items():  # a VM already drawn at this frame is read
         expected[v] = u
     for v in vm_ids:
         if expected[v] is None:
             draw = SeededRng(seed).keyed_u01(v, frame)
             expected[v] = draw if frame == 0 else walk_utilization(
                 previous[v], draw, DEFAULT_UTIL_STEP)
-    current, previous_before = [filled.get(v) for v in range(len(previous))], list(previous)
-    values = SeededRng(seed).walk_residents(vm_ids, frame, current, previous)
+    trace, previous_before = WorkloadTrace(seed), list(previous)
+    if filled is None:
+        trace.frame, trace.current = frame - 1, previous
+    else:
+        trace.frame, trace.previous = frame, previous
+        trace.current = [filled.get(v) for v in range(len(previous))]
+    values = trace.utilizations(vm_ids, frame, len(previous))
     assert values == [expected[v] for v in vm_ids]
-    assert current == expected
-    assert previous == previous_before
+    assert trace.frame == frame and trace.current == expected
+    assert trace.previous == previous == previous_before
 
 
 _words = st.integers(0, 2 ** 64 - 1)
@@ -187,7 +198,7 @@ def test_packed_mix_equals_the_scalar_mix(words, fold):
 
 @given(st.integers(-2 ** 70, 2 ** 70), _ids, _ids, st.integers(0, 2 ** 66))
 def test_pure_draws_equal_the_mix_chain(seed, vm, frame, run_index):
-    assert utilization_at(seed, vm, frame) == _unit(_chain(seed, vm, frame))
+    assert SeededRng(seed).keyed_u01(vm, frame) == _unit(_chain(seed, vm, frame))
     assert child_rng(seed, run_index).seed == _chain(seed, run_index)
 
 
@@ -201,6 +212,12 @@ def test_child_rng_independent_streams():
 def test_child_rng_rejects_negative_index():
     with pytest.raises(ValueError):
         child_rng(42, -1)
+
+
+def reflect_unit(x):
+    """x folded into [0, 1] by reflection, as ``walk_utilization`` folds a walk:
+    a step of ``x`` from 0, as a draw of 1.0 makes it."""
+    return walk_utilization(0.0, 1.0, x)
 
 
 def test_reflect_unit_identity_inside():
@@ -233,27 +250,27 @@ def test_walk_moves_at_most_one_step(prev, draw, step):
     assert abs(walk_utilization(prev, draw, step) - prev) <= step + 1e-12
 
 
-def test_full_step_walk_reduces_to_fresh_draws():
-    # with step 1 the reflection of prev +- U[-1,1] has the same law as
-    # a fresh uniform; spot-check the deterministic recurrence instead
-    u = utilization_walk(42, 5, 0, step=1.0)
-    assert u == utilization_at(42, 5, 0)
-
-
 def test_walk_reference_matches_incremental():
-    seed, vm = 42, 13
-    u = utilization_at(seed, vm, 0)
+    # the trace, turned over frame by frame, walks each VM exactly as the
+    # reference keyed draws walked by walk_utilization do
+    seed, vms = 42, [13, 2, 7]
+    rng, trace = SeededRng(seed), WorkloadTrace(seed)
+    expected = [rng.keyed_u01(vm, 0) for vm in vms]
+    assert trace.utilizations(vms, 0, 14) == expected
     for frame in range(1, 30):
-        u = walk_utilization(u, utilization_at(seed, vm, frame), 0.2)
-        assert utilization_walk(seed, vm, frame, step=0.2) == pytest.approx(u)
+        expected = [walk_utilization(u, rng.keyed_u01(vm, frame), DEFAULT_UTIL_STEP)
+                    for u, vm in zip(expected, vms)]
+        assert trace.utilizations(vms, frame, 14) == expected
 
 
 def test_walk_marginal_stays_uniform():
     # reflection preserves the uniform marginal at every frame
     n = 4000
-    for frame in (0, 5, 20):
-        values = [utilization_walk(9, vm, frame, step=0.2) for vm in range(n)]
-        mean = sum(values) / n
-        assert abs(mean - 0.5) < 0.02
-        below = sum(1 for v in values if v < 0.5) / n
-        assert abs(below - 0.5) < 0.03
+    trace = WorkloadTrace(9)
+    for frame in range(21):
+        values = trace.utilizations(range(n), frame, n)
+        if frame in (0, 5, 20):
+            mean = sum(values) / n
+            assert abs(mean - 0.5) < 0.02
+            below = sum(1 for v in values if v < 0.5) / n
+            assert abs(below - 0.5) < 0.03
