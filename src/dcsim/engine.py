@@ -97,7 +97,8 @@ def placed_state(scenario: Scenario, plan: PlacementPlan, seed=None,
     ``trace`` is the run's ``WorkloadTrace``, by default a fresh one under
     the run's seed; runs under that seed that ``run_lockstep`` steps
     together may share one.  Raises ``ValueError`` for a trace of another
-    seed, whose draws would not be this run's.
+    seed, whose draws would not be this run's, and for a trace placed
+    under a fleet of another size, whose draws this run would discard.
     """
     hosts = [HostState(spec=h, powered_on=False) for h in scenario.hosts]
     vms = []
@@ -114,6 +115,10 @@ def placed_state(scenario: Scenario, plan: PlacementPlan, seed=None,
     if trace.seed != rng.seed:
         raise ValueError("a run of seed %d cannot share a workload trace of seed %d"
                          % (rng.seed, trace.seed))
+    if trace.fleet_size not in (None, len(vms)):
+        raise ValueError("a fleet of %d VMs cannot share a workload trace of %d VMs"
+                         % (len(vms), trace.fleet_size))
+    trace.fleet_size = len(vms)
     return SimulationState(frame_index=0, hosts=hosts, vms=vms, rng=rng, trace=trace,
                            active={vm.spec.id: vm for vm in vms})
 

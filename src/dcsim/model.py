@@ -68,8 +68,10 @@ class VmSpec:
         for name in ("requested_mips", "total_work_mi"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive and finite" % name)
-        if not (math.isfinite(self.ram_mb) and math.isfinite(self.storage_gb)):
-            raise ValueError("ram_mb and storage_gb must be finite")
+        # a negative size would free room on its host
+        for name in ("ram_mb", "storage_gb"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError("%s must be non-negative and finite" % name)
 
 
 @dataclass

@@ -5,10 +5,12 @@ feasible host whose power draw grows the least.  Activating an off host
 costs its full idle power, so consolidation onto already-running,
 power-efficient hosts falls out of the cost function.
 
-The placement works on per-host records (``host_record``): ``place`` runs
-the scan over them and commits each placement into them.  ``mbfd`` builds
-them from a ``PlacementRequest`` of snapshots; the policy passes build
-them straight from the fleet, once per pass, and place into them.
+A placement runs on ``Candidates``: the hosts it may use, as per-host
+records that only this module reads.  ``Candidates.place`` runs the scan
+over them and commits each placement into them.  ``mbfd`` builds them
+from a ``PlacementRequest`` of snapshots; the policy passes build them
+from host states, once per pass, and place, read utilizations and
+evacuate hosts through them.
 """
 
 from bisect import insort
@@ -44,7 +46,7 @@ class HostSnapshot:
 # in ``mbfd``.
 _state = attrgetter("mips_capacity", "p_max_watts", "idle_fraction", "powered_on",
                     "cpu_demand_mips", "ram_free_mb", "storage_free_gb")
-# a VmRequest as ``place`` takes it
+# a VmRequest as ``Candidates.place`` takes it
 _id, _request = attrgetter("id"), attrgetter("id", "demand_mips", "ram_mb", "storage_gb")
 
 
@@ -85,100 +87,117 @@ def power_increase(host: HostSnapshot, vm_demand_mips: float) -> float:
     return power(host, u_after) - power(host, min(1.0, u_before))
 
 
-def host_records(states, upper: float) -> list:
-    """MBFD records of the hosts in ``states``, grouped by state.
+class Candidates:
+    """The hosts a placement may use, as MBFD records scanned in id order.
 
-    ``states`` gives (position in id order, id, state) in id order, the
-    state being the fields ``_state`` reads.  Hosts equal in state form a
-    group, whose power curve is checked and whose record is derived once,
-    for its lowest-id host; the others wait in id order, since an equal
-    state gives an equal increase and the lower id wins the tie.  When a
-    group's scanned host takes a VM in ``place``, the next one waiting gets
-    a record copied from the group's derived state.  Raises ValueError for
-    an invalid power curve.
+    Built from (host id, state) pairs in ascending id order, each state
+    being the fields ``_state`` reads, under a CPU limit of ``upper`` of
+    each host's capacity, ``upper`` in (0, 1].  With ``group``, hosts equal
+    in state form a group, whose power curve is checked and whose record
+    is derived once, for its lowest-id host; the others wait in id order,
+    since an equal state gives an equal increase and the lower id wins the
+    tie.  When a group's scanned host takes a VM in ``place``, the next
+    one waiting gets a record copied from the group's derived state.
+    Without ``group``, each host gets its own record, which ``utilization``
+    and ``evacuate`` find by id; they serve only such a build.  Raises
+    ValueError for an invalid power curve of a group.
+
+    A record is [id, capacity, cpu limit, idle W, dynamic W at full load,
+    cpu demand, free RAM, free storage, power now (0.0 when off), group],
+    the group being (derived state, queue of ids of the hosts still
+    waiting) or None when none waits.  No other module reads one.
     """
-    candidates = []
-    heads = {}  # state -> the record of its group's lowest-id host
-    for pos, hid, state in states:
-        head = heads.get(state)
-        if head is not None:
-            if head[10] is None:
-                head[10] = (tuple(head[2:10]), deque())
-            head[10][1].append((pos, hid))
-            continue
-        check_power_curve(state[1], state[2])
-        heads[state] = record = host_record(pos, hid, state, upper)
-        candidates.append(record)
-    return candidates
 
+    def __init__(self, hosts, upper: float, group: bool = True):
+        self.records = []
+        self._by_id = {}
+        heads = {}  # state -> the record of its group's lowest-id host
+        for hid, state in hosts:
+            if group and (head := heads.get(state)) is not None:
+                if head[9] is None:
+                    head[9] = (tuple(head[1:9]), deque())
+                head[9][1].append(hid)
+                continue
+            cap, p_max, k, on, cpu, ram, storage = state
+            idle_w, dyn_w = k * p_max, (1.0 - k) * p_max
+            # x - 0.0 == x, so an off host's increase is its whole draw after
+            self._by_id[hid] = record = [hid, cap, upper * cap, idle_w, dyn_w, cpu, ram, storage,
+                                         idle_w + dyn_w * min(1.0, cpu / cap) if on else 0.0, None]
+            self.records.append(record)
+            if group:
+                check_power_curve(p_max, k)
+                heads[state] = record
 
-def host_record(pos: int, hid: int, state, upper: float) -> list:
-    """The MBFD record of host ``hid`` at ``pos`` in id order, in ``state``.
+    def utilization(self, hid: int) -> float:
+        """Host ``hid``'s CPU demand over its capacity, unclamped."""
+        r = self._by_id[hid]
+        return r[5] / r[1]
 
-    ``state`` holds the fields ``_state`` reads; ``place`` checks them.  A
-    record is [position, id, capacity, cpu limit, idle W, dynamic W at full
-    load, cpu demand, free RAM, free storage, power now (0.0 when off),
-    group], the group being (derived state, queue of (position, id) of the
-    hosts still waiting) or None when none waits (``host_records``).
-    """
-    cap, p_max, k, on, cpu, ram, storage = state
-    idle_w, dyn_w = k * p_max, (1.0 - k) * p_max
-    # x - 0.0 == x, so an off host's increase is its whole draw after
-    return [pos, hid, cap, upper * cap, idle_w, dyn_w, cpu, ram, storage,
-            idle_w + dyn_w * min(1.0, cpu / cap) if on else 0.0, None]
+    def place(self, vms):
+        """Place ``vms`` on the candidates, each where power grows the least.
 
-
-def place(candidates: list, vms, saved=None):
-    """Place ``vms`` on ``candidates``, each where power grows the least.
-
-    ``vms`` gives (id, demand, RAM, storage) in any order; they are placed
-    by decreasing demand, equal demands in ascending id order.
-    ``candidates`` are MBFD records (``host_record``) sorted by position,
-    so the strict-< scan picks the lowest id among equal increases.  Each
-    placement is committed into its record, so the VMs placed after it see
-    it.  When ``saved`` is a list, each placement first appends (record,
-    its load, free RAM, free storage and power before it), from which a
-    caller can restore records that are in no group.  Returns
-    (assignments, unplaced).  Raises ValueError, before placing anything,
-    for a record with a negative or NaN utilization or a NaN free RAM or
-    storage, and for a negative VM demand.
-    """
-    for r in candidates:
-        # read unclamped, since min(1.0, nan) is 1.0; a NaN free RAM or
-        # storage would never be exceeded
-        if not r[6] / r[2] >= 0.0 or r[7] != r[7] or r[8] != r[8]:
-            raise ValueError("utilization must be in [0, 1], free RAM and storage not NaN")
-    assignments = {}
-    unplaced = set()
-    for vid, d, ram, storage in sorted(vms, key=lambda vm: (-vm[1], vm[0])):
-        if d < 0:
-            raise ValueError("vm_demand_mips must be non-negative")
-        best = None
+        ``vms`` gives (id, demand, RAM, storage) in any order; they are
+        placed by decreasing demand, equal demands in ascending id order.
+        The records are scanned in id order, so the strict-< test picks the
+        lowest id among equal increases.  Each placement is committed into
+        its record, so the VMs placed after it see it.  Returns
+        (assignments, unplaced).  Raises ValueError, before placing
+        anything, for a record with a negative or NaN utilization or a NaN
+        free RAM or storage, and for a negative VM demand.
+        """
+        candidates = self.records
         for r in candidates:
-            load = r[6] + d
-            if load <= r[3] and not (ram > r[7] or storage > r[8]):
-                u = load / r[2]
-                p = r[4] + r[5] * (u if u < 1.0 else 1.0)  # min(1.0, u)
-                delta = p - r[9]
-                if best is None or delta < best_delta:
-                    best, best_delta, best_load, best_p = r, delta, load, p
-        if best is None:
-            unplaced.add(vid)
-            continue
-        assignments[vid] = best[1]
-        if saved is not None:
-            saved.append((best, best[6:10]))
-        best[6] = best_load
-        best[7] -= ram
-        best[8] -= storage
-        best[9] = best_p
-        group = best[10]
-        if group is not None:
-            # the group's next host takes over as its scanned one
-            derived, waiting = group
-            insort(candidates, [*waiting.popleft(), *derived, group if waiting else None])
-            best[10] = None
-    return assignments, unplaced
+            # read unclamped, since min(1.0, nan) is 1.0; a NaN free RAM or
+            # storage would never be exceeded
+            if not r[5] / r[1] >= 0.0 or r[6] != r[6] or r[7] != r[7]:
+                raise ValueError("utilization must be in [0, 1], free RAM and storage not NaN")
+        assignments = {}
+        unplaced = set()
+        for vid, d, ram, storage in sorted(vms, key=lambda vm: (-vm[1], vm[0])):
+            if d < 0:
+                raise ValueError("vm_demand_mips must be non-negative")
+            best = None
+            for r in candidates:
+                load = r[5] + d
+                if load <= r[2] and not (ram > r[6] or storage > r[7]):
+                    # load <= upper * cap <= cap in floats for upper in (0, 1],
+                    # so load / cap <= 1.0 and min(1.0, load / cap) never clamps
+                    p = r[3] + r[4] * (load / r[1])
+                    delta = p - r[8]
+                    if best is None or delta < best_delta:
+                        best, best_delta, best_load, best_p = r, delta, load, p
+            if best is None:
+                unplaced.add(vid)
+                continue
+            assignments[vid] = best[0]
+            best[5] = best_load
+            best[6] -= ram
+            best[7] -= storage
+            best[8] = best_p
+            group, best[9] = best[9], None
+            if group is not None:
+                # the group's next host takes over as its scanned one
+                derived, waiting = group
+                insort(candidates, [waiting.popleft(), *derived, group if waiting else None])
+        return assignments, unplaced
+
+    def evacuate(self, hid: int, vms):
+        """Place ``vms`` off host ``hid`` on the other candidates, all of them or none.
+
+        The host leaves the candidates.  When every VM is placed, it stays
+        out and the assignments are returned.  Otherwise every other
+        record gets back the load, free RAM, free storage and power it had
+        before, the host returns, and an empty dict is returned.
+        """
+        host = self._by_id[hid]
+        self.records.remove(host)
+        saved = [(r, r[5:9]) for r in self.records]
+        assignments, unplaced = self.place(vms)
+        if unplaced:
+            for r, fields in saved:
+                r[5:9] = fields
+            insort(self.records, host)
+        return {} if unplaced else assignments
 
 
 def mbfd(req: PlacementRequest) -> PlacementPlan:
@@ -191,15 +210,13 @@ def mbfd(req: PlacementRequest) -> PlacementPlan:
 
     The increase is computed as ``P(after) - P(before)`` with the same
     float operations as ``power_increase``.  The usable hosts become
-    records by ``host_records``, grouped by their whole snapshot state
-    (every field but the id), and ``place`` places the VMs on them.  So a
-    call builds one record per distinct state and one per host that
-    receives a VM.  Raises ValueError for a negative VM demand or for a
-    usable host with an invalid power curve, a negative or NaN
-    utilization, or a NaN free RAM or storage.
+    ``Candidates``, grouped by their whole snapshot state (every field but
+    the id), which place the VMs.  So a call builds one record per
+    distinct state and one per host that receives a VM.  Raises ValueError
+    for a negative VM demand or for a usable host with an invalid power
+    curve, a negative or NaN utilization, or a NaN free RAM or storage.
     """
-    usable = ((pos, h.id, _state(h)) for pos, h in enumerate(sorted(req.hosts, key=_id))
+    usable = ((h.id, _state(h)) for h in sorted(req.hosts, key=_id)
               if h.id not in req.excluded_hosts and (h.powered_on or req.allow_power_on))
-    assignments, unplaced = place(host_records(usable, req.upper_threshold),
-                                  map(_request, req.vms))
+    assignments, unplaced = Candidates(usable, req.upper_threshold).place(map(_request, req.vms))
     return PlacementPlan(assignments=assignments, unplaced=unplaced)

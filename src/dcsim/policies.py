@@ -12,13 +12,16 @@ which VM it takes next:
     MM  - fewest VMs whose removal gets the host back under the threshold
     HPG - VMs using the smallest share of their requested CPU first
     RC  - uniformly random VMs until the host is under the threshold
+
+A pass builds each host's state, as ``placement.Candidates`` takes it, and
+places, reads utilizations and evacuates through one ``Candidates``; the
+placement records are ``placement``'s own.
 """
 
 import math
-from bisect import insort
 
-from .model import STATIC_KINDS, HostState, MigrationPlan, PolicyConfig
-from .placement import host_record, host_records, place
+from .model import STATIC_KINDS, HostSpec, HostState, MigrationPlan, PolicyConfig
+from .placement import Candidates
 # no longer called here; kept bound for the benchmark's tracer until ROADMAP item 13
 from .placement import mbfd  # noqa: F401
 
@@ -90,8 +93,8 @@ def select_vms_rc(host: HostState, vms, upper_threshold: float, rng) -> list:
                    lambda working, excess: working[rng.randbelow(len(working))])
 
 
-def _record(host: HostState, resident, vms, upper: float) -> list:
-    """The MBFD record (``placement.host_record``) of powered-on ``host`` holding ``resident``."""
+def _state(s: HostSpec, resident, vms) -> tuple:
+    """A powered-on host's state, as ``Candidates`` takes it: spec ``s``, holding ``resident``."""
     # three sums in one pass, each left to right in resident order, as
     # ``model.add_up`` would give them
     cpu = ram = storage = 0.0
@@ -100,13 +103,12 @@ def _record(host: HostState, resident, vms, upper: float) -> list:
         cpu += vm.demand_mips
         ram += vm.spec.ram_mb
         storage += vm.spec.storage_gb
-    s = host.spec
-    return host_record(s.id, s.id, (s.mips_capacity, s.p_max_watts, s.idle_fraction, True,
-                                    cpu, s.ram_mb - ram, s.storage_gb - storage), upper)
+    return (s.mips_capacity, s.p_max_watts, s.idle_fraction, True, cpu, s.ram_mb - ram,
+            s.storage_gb - storage)
 
 
 def _requests(vm_ids, vms) -> list:
-    """(id, demand, RAM, storage) of each VM in ``vm_ids``, as ``placement.place`` takes them."""
+    """(id, demand, RAM, storage) of each VM in ``vm_ids``, as ``Candidates.place`` takes them."""
     return [(v, vms[v].demand_mips, vms[v].spec.ram_mb, vms[v].spec.storage_gb) for v in vm_ids]
 
 
@@ -124,11 +126,10 @@ def reallocate(config: PolicyConfig, hosts, vms, rng) -> MigrationPlan:
     active VM.  The returned plan never moves a VM to the host
     it already occupies.
 
-    A pass builds its MBFD records (``placement.host_record``) straight
-    from ``hosts`` and ``vms``, once, and every placement of the pass runs
-    ``placement.place`` on them.  Each decides as ``mbfd`` would on a
-    ``PlacementRequest`` of the hosts at that point of the pass, and raises
-    the ValueError it would raise.
+    A pass builds its ``placement.Candidates`` straight from ``hosts`` and
+    ``vms``, once, and every placement of the pass runs on them.  Each
+    decides as ``mbfd`` would on a ``PlacementRequest`` of the hosts at
+    that point of the pass, and raises the ValueError it would raise.
     """
     if config.kind in STATIC_KINDS:
         return MigrationPlan(moves=[])
@@ -142,40 +143,38 @@ def _reallocate_st(config, hosts, vms):
 
     The fleet is stripped of its residents, keeping current power states so
     that activating an off host stays penalized.  Hosts alike in spec and
-    power state share one record (``placement.host_records``).
+    power state share one record (``Candidates``' groups).
     """
-    states = ((s.id, s.id, (s.mips_capacity, s.p_max_watts, s.idle_fraction, h.powered_on,
-                            0.0, s.ram_mb, s.storage_gb)) for h in hosts for s in (h.spec,))
-    return _plan(place(host_records(states, config.upper_threshold), _requests(vms, vms))[0], vms)
+    states = ((s.id, (s.mips_capacity, s.p_max_watts, s.idle_fraction, h.powered_on,
+                      0.0, s.ram_mb, s.storage_gb)) for h in hosts for s in (h.spec,))
+    return _plan(Candidates(states, config.upper_threshold).place(_requests(vms, vms))[0], vms)
 
 
 def _reallocate_two_threshold(config, hosts, vms, rng):
     """Relief of the hosts over the upper threshold, then evacuation of those under the lower.
 
-    The pass builds one MBFD record per powered-on host, by host id in fleet
-    order, each host's residents summed once, in resident order.  An off
-    host carries no load, so it is never over or under a threshold, and no
-    placement may power it on.  Every decision reads the records
-    (``record[6]`` is a host's load, ``record[2]`` its capacity), relief
-    and each evacuation place into them, and ``place`` commits each
-    placement into them.
+    The pass sums each powered-on host's residents once, in resident order,
+    into its state, and builds one candidate per powered-on host, by host id
+    in fleet order.  An off host carries no load, so it is never over or
+    under a threshold, and no placement may power it on.  Relief and each
+    evacuation place into the candidates, which commit each placement.
     """
     upper = config.upper_threshold
-    records = {h.spec.id: _record(h, h.resident_vms, vms, upper) for h in hosts if h.powered_on}
-    under = underloaded_hosts(hosts, {hid: r[6] for hid, r in records.items()},
+    states = {h.spec.id: _state(h.spec, h.resident_vms, vms) for h in hosts if h.powered_on}
+    under = underloaded_hosts(hosts, {hid: state[4] for hid, state in states.items()},
                               config.lower_threshold)
     select = {"MM": select_vms_mm, "HPG": select_vms_hpg,
               "RC": lambda h, vms, upper: select_vms_rc(h, vms, upper, rng)}[config.kind]
     over_selected = []
     # an empty host carries no load, so it is never over the threshold
-    for hid, r in records.items():
-        if r[6] / r[2] > upper:
+    for hid, (cap, *_, cpu, _, _) in states.items():
+        if cpu / cap > upper:
             h = hosts[hid]
             picked = select(h, vms, upper)
             # the host as relief sees it: its picks are leaving
-            records[hid] = _record(h, [v for v in h.resident_vms if v not in picked], vms, upper)
+            states[hid] = _state(h.spec, [v for v in h.resident_vms if v not in picked], vms)
             over_selected += picked
-    candidates = list(records.values())
+    candidates = Candidates(states.items(), upper, group=False)
     moves = {}
 
     # Over-threshold relief first: one MBFD pass over all selected VMs.
@@ -186,31 +185,19 @@ def _reallocate_two_threshold(config, hosts, vms, rng):
     # eligible as targets; spill landing on one lifts it toward the
     # lower threshold and cancels its evacuation.
     if over_selected:
-        moves.update(place(candidates, _requests(over_selected, vms))[0])
+        moves.update(candidates.place(_requests(over_selected, vms))[0])
 
     # Evacuate underloaded hosts one at a time, emptiest first, so two
     # underloaded hosts can merge (the fuller one absorbs the emptier)
     # instead of blocking each other as destinations.  An evacuation is
-    # all-or-nothing: a partial one would leave the host on and idle, so a
-    # failed one restores every record it changed from the saved fields.
-    # The host being evacuated leaves the candidates for its own placement
-    # and, once evacuated, for every later one, so its record keeps its load.
+    # all-or-nothing: a partial one would leave the host on and idle.  An
+    # evacuated host takes no VM of any later placement, and never powering
+    # a host on to absorb an evacuation keeps the load off fresh hosts,
+    # which would save nothing and churn migrations.
     for hid in under:
-        r = records[hid]
         # an earlier placement may have landed here; if the host is no
         # longer underloaded it stays on and keeps its VMs
-        if r[6] / r[2] >= config.lower_threshold:
-            continue
-        # never power a host on to absorb an evacuation: swapping the
-        # load onto a fresh host saves nothing and churns migrations
-        candidates.remove(r)
-        saved = []
-        assignments, unplaced = place(candidates, _requests(hosts[hid].resident_vms, vms), saved)
-        if unplaced:
-            for record, fields in reversed(saved):
-                record[6:10] = fields
-            insort(candidates, r)
-            continue
-        moves.update(assignments)
+        if candidates.utilization(hid) < config.lower_threshold:
+            moves.update(candidates.evacuate(hid, _requests(hosts[hid].resident_vms, vms)))
 
     return _plan(moves, vms)

@@ -137,10 +137,11 @@ class WorkloadTrace:
     many frames or runs read it.
     """
 
-    __slots__ = ("seed", "frame", "current", "previous", "_lanes")
+    __slots__ = ("seed", "fleet_size", "frame", "current", "previous", "_lanes")
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
+        self.fleet_size = None  # the VM count of the runs placed on it (``engine.placed_state``)
         self.frame = 0
         self.current = []  # utilization at ``frame``, by vm id
         self.previous = []  # utilization at ``frame - 1``, by vm id

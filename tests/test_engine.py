@@ -520,6 +520,18 @@ def test_a_run_refuses_a_trace_of_another_seed():
     assert placed_state(sc, plan, seed=7).trace.seed == 7
 
 
+def test_runs_on_fleets_of_two_sizes_cannot_share_a_trace():
+    # the second run would turn the trace over to its own fleet at frame 0,
+    # and the first would then walk from the second's draws
+    trace = WorkloadTrace(42)
+    dvfs = default_paper_scenario("DVFS", n_hosts=10, n_vms=29)
+    mm = default_paper_scenario("MM", 0.3, 0.7, n_hosts=10, n_vms=20)
+    state = placed_state(dvfs, engine.place_fleet(dvfs), trace=trace)
+    with pytest.raises(ValueError, match="of 20 VMs cannot share a workload trace of 29 VMs"):
+        placed_state(mm, engine.place_fleet(mm), trace=trace)
+    # nothing was drawn, and the first run goes on alone
+    assert trace.current == [] and engine.run_lockstep([(state, dvfs)]) == [simulate(dvfs)[1]]
+
 
 def test_sampler_is_called_host_by_host_in_resident_order():
     sc = default_paper_scenario(policy="MM", lower_threshold=0.3, upper_threshold=0.7,

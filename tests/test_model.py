@@ -58,6 +58,14 @@ def test_vm_spec_rejects_a_non_finite_size(field, value):
         vm_spec(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["ram_mb", "storage_gb"])
+def test_vm_spec_rejects_a_negative_size(field):
+    with pytest.raises(ValueError, match="%s must be non-negative" % field):
+        vm_spec(**{field: -5000.0})
+    # a VM may need no RAM or storage at all
+    assert getattr(vm_spec(**{field: 0.0}), field) == 0.0
+
+
 def test_add_up_rounds_after_each_term_left_to_right():
     # a compensated or exact sum gives 2.0; rounding after each term loses both 1.0s
     assert add_up([1e16, 1.0, 1.0, -1e16]) == 0.0

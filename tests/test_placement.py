@@ -1,5 +1,6 @@
 """Best-fit-decreasing placement and its power-increase cost."""
 
+import copy
 import math
 from dataclasses import astuple, replace
 
@@ -10,6 +11,7 @@ from dcsim import (HostSnapshot, PlacementPlan, PlacementRequest, VmRequest,
                    default_paper_scenario, initial_placement, mbfd, power_increase,
                    reallocate, step)
 from dcsim import placement
+from dcsim.placement import Candidates
 
 
 def snap(id=0, cap=1000.0, on=True, demand=0.0, ram=8192.0, storage=1024.0,
@@ -365,3 +367,34 @@ def test_a_nan_in_a_usable_snapshot_is_rejected(hosts):
     plan = mbfd(PlacementRequest(vms=[vm(id=0, demand=100.0)], hosts=hosts + [snap(id=2)],
                                  excluded_hosts=frozenset(h.id for h in hosts)))
     assert plan.assignments == {0: 2}
+
+
+def test_a_failed_evacuation_restores_every_record_and_the_host():
+    # host 0's 100.37 MIPS VM fits on host 1 or 2, its 7500 MB VM on neither
+    states = [(0, (1000.0, 250.0, 0.7, True, 150.58, 424.0, 1019.0)),
+              (1, (1000.0, 200.0, 0.6, True, 400.37, 4096.0, 10.0)),
+              (2, (3000.0, 300.0, 0.5, True, 2000.11, 512.0, 10.0))]
+    candidates = Candidates(states, 0.8, group=False)
+    before = copy.deepcopy(candidates.records)
+    assert candidates.evacuate(0, [(0, 100.37, 512.0, 2.5), (1, 50.21, 7500.0, 2.5)]) == {}
+    # every host's load, free RAM, free storage and power, bit for bit
+    assert candidates.records == before
+    assert candidates.utilization(0) == 150.58 / 1000.0
+    # host 0 is a candidate again: it alone has the storage for this VM
+    assert candidates.place([(2, 10.0, 100.0, 20.0)]) == ({2: 0}, set())
+
+
+def test_an_evacuated_host_takes_no_later_vm():
+    states = [(0, (1000.0, 250.0, 0.7, True, 150.58, 8192.0, 1024.0)),
+              (1, (1000.0, 250.0, 0.7, True, 400.37, 8192.0, 1024.0))]
+    candidates = Candidates(states, 0.8, group=False)
+    assert candidates.evacuate(0, [(0, 150.58, 512.0, 2.5)]) == {0: 1}
+    assert candidates.place([(1, 10.0, 0.0, 0.0), (2, 500.0, 0.0, 0.0)]) == ({1: 1}, {2})
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(0.0, math.inf, exclude_min=True, exclude_max=True))
+def test_a_load_within_the_cpu_limit_never_exceeds_capacity(upper, cap):
+    # the scan reads min(1.0, load / cap) as load / cap: a load it accepts is
+    # at most upper * cap, which never rounds above cap for upper in (0, 1]
+    assert upper * cap <= cap

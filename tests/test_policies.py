@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dcsim import placement, policies
+from dcsim import policies
 from dcsim.model import HostSpec, HostState, MigrationPlan, VmSpec, VmState, add_up
-from dcsim.placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
-from dcsim.policies import (PolicyConfig, _record, reallocate,
+from dcsim.placement import Candidates, HostSnapshot, PlacementRequest, VmRequest, mbfd
+from dcsim.policies import (PolicyConfig, _state, reallocate,
                             select_vms_hpg, select_vms_mm, select_vms_rc,
                             underloaded_hosts)
 from dcsim.workload import SeededRng
@@ -50,19 +50,28 @@ def test_policy_config_validation():
 
 
 def test_host_utilization():
-    # the pass's record sums a host's residents once: 200 + 300 of 1000 is 0.5
+    # the pass's state sums a host's residents once: 200 + 300 of 1000 is 0.5
     vms = make_vms([200.0, 300.0])
     host = make_host(cap=1000.0, residents=[0, 1])
-    record = _record(host, host.resident_vms, vms, 0.7)
-    pos, hid, cap, limit, idle_w, dyn_w, cpu, ram, storage, p, group = record
-    assert (pos, hid, cap, limit, group) == (0, 0, 1000.0, 700.0, None)
-    assert cpu / cap == pytest.approx(0.5)
+    state = _state(host.spec, host.resident_vms, vms)
+    cap, p_max, k, on, cpu, ram, storage = state
+    assert (cap, p_max, k, on) == (1000.0, 250.0, 0.7, True)
     assert ram == pytest.approx(8192.0 - 2 * 128.0)
     assert storage == pytest.approx(1024.0 - 2 * 1.0)
-    # 0.7 * 250 W idle, plus 0.3 * 250 W at half load
-    assert (idle_w, dyn_w, p) == pytest.approx((175.0, 75.0, 212.5))
+
+    def placed(vm, other=None):
+        hosts = [(0, state)] + ([(1, other)] if other else [])
+        return Candidates(hosts, 0.7, group=False).place([vm])[0]
+
+    assert Candidates([(0, state)], 0.7, group=False).utilization(0) == pytest.approx(0.5)
+    # its CPU limit is 0.7 of 1000 MIPS
+    assert placed((9, 200.0, 0.0, 0.0)) == {9: 0} and placed((9, 200.5, 0.0, 0.0)) == {}
+    # 0.7 * 250 W idle, plus 0.3 * 250 W at half load: 100 MIPS more adds 7.5 W,
+    # more than an empty host adding 7.4 W and less than one adding 7.6 W
+    empty = [(1000.0, dyn / 0.5, 0.5, True, 0.0, 8192.0, 1024.0) for dyn in (74.0, 76.0)]
+    assert [placed((9, 100.0, 0.0, 0.0), e) for e in empty] == [{9: 1}, {9: 0}]
     # a relieved host is summed without its picks
-    assert _record(host, [1], vms, 0.7)[6:9] == [300.0, 8192.0 - 128.0, 1024.0 - 1.0]
+    assert _state(host.spec, [1], vms)[4:] == (300.0, 8192.0 - 128.0, 1024.0 - 1.0)
 
 
 def test_underloaded_hosts_strictly_below_threshold():
@@ -73,7 +82,8 @@ def test_underloaded_hosts_strictly_below_threshold():
     empty = make_host(id=3)
     pair = make_host(id=4, cap=1000.0, residents=[2, 3])  # 200 + 300 of 1000: 0.5
     hosts = [pair, at, below, off, empty]
-    loads = {h.spec.id: _record(h, h.resident_vms, vms, 1.0)[6] for h in hosts}
+    # the pass's loads: each host's CPU demand, the fifth field of its state
+    loads = {h.spec.id: _state(h.spec, h.resident_vms, vms)[4] for h in hosts}
     assert underloaded_hosts(hosts, loads, 0.3) == [1]
     # emptiest first; the pair sums to 0.5
     assert underloaded_hosts(hosts, loads, 0.5) == [1, 0]
@@ -557,16 +567,21 @@ def test_two_threshold_placements_see_only_powered_on_hosts(kind, monkeypatch):
              make_host(id=4, cap=3000.0, residents=[3])]
     for v, hid in ((2, 2), (3, 4)):
         vms[v].host_id = hid
-    offered = []
-    place = placement.place
+    built, evacuated = [], []
 
-    def recording_place(candidates, vms, saved=None):
-        # a record's power now is 0.0 when its host is off
-        offered.append([(r[1], r[9] > 0.0) for r in candidates])
-        return place(candidates, vms, saved)
+    class Recording(Candidates):
+        def __init__(self, hosts, upper, group=True):
+            hosts = list(hosts)
+            built.append([(hid, on) for hid, (_, _, _, on, *_) in hosts])
+            super().__init__(hosts, upper, group)
 
-    monkeypatch.setattr(policies, "place", recording_place)
+        def evacuate(self, hid, vms):
+            evacuated.append(hid)
+            return super().evacuate(hid, vms)
+
+    monkeypatch.setattr(policies, "Candidates", Recording)
     plan = reallocate(PolicyConfig(kind, 0.3, 0.7), hosts, vms, SeededRng(3))
     assert [(src, dst) for _, src, dst in plan.moves] == [(0, 4), (2, 4)]
-    # relief, then host 2's evacuation, which leaves host 2 out
-    assert offered == [[(0, True), (2, True), (4, True)], [(0, True), (4, True)]]
+    # one candidate set for relief and evacuation, of the powered-on hosts;
+    # host 2's evacuation takes host 2 out of it
+    assert built == [[(0, True), (2, True), (4, True)]] and evacuated == [2]

@@ -1,19 +1,28 @@
-"""The A/B timing tool, ``tools/ab_time.py``."""
+"""The tools: A/B timing (``tools/ab_time.py``) and line counts (``tools/count_lines.py``)."""
 
 import importlib.util
 import re
 import shutil
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ARGS = ["--", "--policy", "DVFS", "--hosts", "3", "--vms", "4", "--runs", "1"]
 
 
-def _ab_time():
-    spec = importlib.util.spec_from_file_location("ab_time", ROOT / "tools" / "ab_time.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _ab_time():
+    return _tool("ab_time")
+
+
+def _count(source):
+    return _tool("count_lines").count(source)
 
 
 def ratio_line(line):
@@ -52,3 +61,52 @@ def test_ab_time_refuses_to_time_reports_that_differ(tmp_path, capsys):
     assert _ab_time().main([str(tmp_path), "--rounds", "2"] + ARGS) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "the two reports differ; nothing is timed\n"
+
+
+def test_count_lines_skips_docstrings_comments_and_blank_lines():
+    source = textwrap.dedent('''\
+        """A module docstring
+        over two lines."""
+
+        # a comment
+        import math
+
+
+        class A:
+            """A one-line class docstring."""
+
+            def f(self):
+                """A method docstring
+
+                over three lines."""
+                # an indented comment
+                return 1  # a trailing comment
+
+
+        async def g():
+            """An async docstring."""
+            return math.pi
+        ''')
+    # import, class, def, return, async def and return
+    assert _count(source) == (21, 6)
+
+
+def test_count_lines_counts_a_string_that_is_no_docstring():
+    source = textwrap.dedent('''\
+        x = 1
+        """Not a docstring: the module's first statement is x = 1."""
+
+
+        def f():
+            y = 2
+            """Nor this: f's first statement is y = 2."""
+            return y
+        ''')
+    assert _count(source) == (8, 6)
+
+
+def test_count_lines_counts_newlines_as_wc_does():
+    # ``wc -l`` counts newline characters, so an unterminated last line adds none
+    assert _count("x = 1\ny = 2") == (1, 2)
+    assert _count("x = 1\n\n\n") == (3, 1)
+    assert _count("") == (0, 0)
