@@ -14,9 +14,9 @@ from dcsim.workload import DEFAULT_UTIL_STEP, WorkloadTrace
 
 SEED, VM, N = 42, 7, 2000
 
-# one trace, stepped frame by frame, draws every VM of the fleet
-trace = WorkloadTrace(SEED)
-frames = [trace.utilizations(range(N), f, N) for f in range(20)]
+# one trace, made for a fleet of N VMs and stepped frame by frame, draws every VM
+trace = WorkloadTrace(SEED, N)
+frames = [trace.utilizations(range(N), f) for f in range(20)]
 walk = [values[VM] for values in frames]
 
 print("Utilization trace of VM %d under seed %d (step %g):" % (VM, SEED, DEFAULT_UTIL_STEP))

@@ -189,10 +189,10 @@ def run_experiment(spec: ExperimentSpec) -> Report:
 
     The fleet is placed once: the plan reads only the fleet, which every
     row shares.  The run index is the outer loop.  Run ``i`` of every row
-    starts from that plan under ``child_rng(seed, i)``, on host and VM
-    states of its own, and the rows then run in lockstep on one shared
-    workload trace; the static rows (NPA, DVFS), placed alike, share one
-    frame pass and each keep their own energy.  The results equal
+    starts from that plan, on host and VM states of its own, and the rows
+    then run in lockstep on one shared workload trace under
+    ``child_rng(seed, i)``; the static rows (NPA, DVFS), placed alike,
+    share one frame pass and each keep their own energy.  The results equal
     independent ``simulate`` calls under the same seeds.
     """
     base = spec.scenario
@@ -204,10 +204,9 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         raise InfeasibleScenarioError("%s (policy row %s)" % (exc, spec.policies[0].kind))
     for i in range(base.runs):
         seed = child_rng(base.seed, i).seed
-        trace = WorkloadTrace(seed)
-        runs = [(placed_state(scenario, plan, seed=seed, trace=trace), scenario)
-                for scenario in scenarios]
-        for row, metrics in zip(rows, run_lockstep(runs)):
+        trace = WorkloadTrace(seed, len(base.vms))
+        states = [placed_state(scenario, plan, trace) for scenario in scenarios]
+        for row, metrics in zip(rows, run_lockstep(states)):
             row.runs.append(metrics)
     return Report(rows=rows, scenario=base)
 

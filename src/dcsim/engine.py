@@ -1,5 +1,9 @@
 """Frame-driven simulation loop.
 
+A placed run is one ``SimulationState``: its scenario, its hosts and VMs,
+its workload trace, whose seed is the run's only seed, and the per-frame
+constants computed from the scenario when the state is built.
+
 Each frame asks the run's workload trace (``workload.WorkloadTrace``, the
 one seam through which utilizations enter) for every resident of the
 fleet in one call, host by host in resident order.  Then it goes once
@@ -55,16 +59,19 @@ class StalledRunError(ValueError):
 @dataclass
 class SimulationState:
     frame_index: int
+    scenario: Scenario  # the run's seed is its trace's, not the scenario's
     hosts: list  # hosts[i] has id i, as in the Scenario
     vms: list  # vms[i] has id i: every VM of the fleet, finished ones included
-    rng: SeededRng
-    trace: WorkloadTrace  # under the seed of ``rng``
+    rng: SeededRng  # under the seed of ``trace``
+    trace: WorkloadTrace
     # vm id -> VmState for every VM with work left; a VM leaves when it finishes
     active: dict = field(default_factory=dict)
     energy_wh: float = 0.0
     frames: list = field(default_factory=list)
-    # the run's per-frame constants (``_constant``), set when it is first stepped
-    constant: tuple = None
+    constant: tuple = field(init=False)  # the run's per-frame constants (``_constant``)
+
+    def __post_init__(self):
+        self.constant = _constant(self.scenario)
 
 
 def place_fleet(scenario: Scenario) -> PlacementPlan:
@@ -87,48 +94,47 @@ def place_fleet(scenario: Scenario) -> PlacementPlan:
     return plan
 
 
-def placed_state(scenario: Scenario, plan: PlacementPlan, seed=None,
-                 trace=None) -> SimulationState:
+def placed_state(scenario: Scenario, plan: PlacementPlan, trace=None) -> SimulationState:
     """A run's state at frame 0, its fleet placed as ``plan`` (from ``place_fleet``) says.
 
     Hosts that receive no VMs are powered on under NPA and stay off under
     every other policy.  Each call builds host and VM states of its own.
 
     ``trace`` is the run's ``WorkloadTrace``, by default a fresh one under
-    the run's seed; runs under that seed that ``run_lockstep`` steps
-    together may share one.  Raises ``ValueError`` for a trace of another
-    seed, whose draws would not be this run's, and for a trace placed
-    under a fleet of another size, whose draws this run would discard.
+    the scenario's seed; its seed is the run's.  Runs of one fleet that
+    ``run_lockstep`` steps together may share one.  Raises ``ValueError``
+    for a plan that does not place exactly the fleet's VMs ``0..n-1``, each
+    on one of its hosts, and for a trace made for another number of VMs.
     """
+    assignments, n_vms = plan.assignments, len(scenario.vms)
+    if (assignments.keys() != set(range(n_vms))
+            or not set(assignments.values()) <= set(range(len(scenario.hosts)))):
+        raise ValueError("the plan does not place this fleet of %d VMs on %d hosts"
+                         % (n_vms, len(scenario.hosts)))
+    trace = WorkloadTrace(scenario.seed, n_vms) if trace is None else trace
+    if trace.n_vms != n_vms:
+        raise ValueError("a fleet of %d VMs cannot share a workload trace of %d VMs"
+                         % (n_vms, trace.n_vms))
     hosts = [HostState(spec=h, powered_on=False) for h in scenario.hosts]
     vms = []
     for v in scenario.vms:
-        hid = plan.assignments[v.id]
+        hid = assignments[v.id]
         hosts[hid].resident_vms.append(v.id)
         vms.append(VmState(spec=v, host_id=hid, demand_mips=v.requested_mips,
                            remaining_work_mi=v.total_work_mi))
-    npa = scenario.policy.kind == "NPA"
     for host in hosts:
-        host.powered_on = npa or bool(host.resident_vms)
-    rng = SeededRng(scenario.seed if seed is None else seed)
-    trace = WorkloadTrace(rng.seed) if trace is None else trace
-    if trace.seed != rng.seed:
-        raise ValueError("a run of seed %d cannot share a workload trace of seed %d"
-                         % (rng.seed, trace.seed))
-    if trace.fleet_size not in (None, len(vms)):
-        raise ValueError("a fleet of %d VMs cannot share a workload trace of %d VMs"
-                         % (len(vms), trace.fleet_size))
-    trace.fleet_size = len(vms)
-    return SimulationState(frame_index=0, hosts=hosts, vms=vms, rng=rng, trace=trace,
+        host.powered_on = scenario.policy.kind == "NPA" or bool(host.resident_vms)
+    return SimulationState(frame_index=0, scenario=scenario, hosts=hosts, vms=vms,
+                           rng=SeededRng(trace.seed), trace=trace,
                            active={vm.spec.id: vm for vm in vms})
 
 
-def initial_placement(scenario: Scenario, seed=None, trace=None) -> SimulationState:
+def initial_placement(scenario: Scenario, trace=None) -> SimulationState:
     """Place the fleet and return the run's state at frame 0.
 
     This is ``placed_state`` of the scenario's ``place_fleet`` plan.
     """
-    return placed_state(scenario, place_fleet(scenario), seed=seed, trace=trace)
+    return placed_state(scenario, place_fleet(scenario), trace)
 
 
 def share_mips(host: HostState, demands, load: float) -> list:
@@ -145,8 +151,8 @@ def share_mips(host: HostState, demands, load: float) -> list:
     return [d * scale for d in demands]
 
 
-def _constant(hosts, scenario):
-    """(NPA or not, frame seconds, draws, coefficients, requested MIPS).
+def _constant(scenario):
+    """(draws, coefficients, requested MIPS) of a run of ``scenario``.
 
     In fleet order, each host's constant draw per frame in Wh (under NPA its
     peak draw, which it is charged whatever its load; otherwise its idle
@@ -155,45 +161,48 @@ def _constant(hosts, scenario):
     by VM id.
     """
     npa, dt = scenario.policy.kind == "NPA", scenario.frame_seconds
-    specs = [h.spec for h in hosts]
-    draws = [(s.p_max_watts if npa else power(s, 0.0)) * dt / 3600.0 for s in specs]
+    draws = [(s.p_max_watts if npa else power(s, 0.0)) * dt / 3600.0 for s in scenario.hosts]
     coefficients = [(s.idle_fraction * s.p_max_watts, (1.0 - s.idle_fraction) * s.p_max_watts,
-                     s.mips_capacity) for s in specs]
-    return npa, dt, draws, coefficients, [v.requested_mips for v in scenario.vms]
+                     s.mips_capacity) for s in scenario.hosts]
+    return draws, coefficients, [v.requested_mips for v in scenario.vms]
 
 
-def _charge(total_wh, hosts, loads, constant, dt):
-    """Return ``total_wh`` plus the fleet's energy for one frame of ``dt`` s.
+def _charge(run, loads):
+    """Charge ``run`` its fleet's energy for one frame; returns the frame's energy.
 
     ``loads`` holds each host's CPU load in MIPS, in fleet order, or None for
-    a host with no residents; ``constant`` is the run's ``_constant``.  Each
-    host's draw is added in fleet order.  Under NPA that is its peak term,
-    whatever its load.  Otherwise a host that is off adds nothing, an empty
-    one that is on its idle term, and a loaded one ``(k * p_max + (1.0 - k)
-    * p_max * min(1.0, load / capacity)) * dt / 3600.0``, the operations of
+    a host with no residents.  Each host's draw is added in fleet order.
+    Under NPA that is its peak term, whatever its load.  Otherwise a host
+    that is off adds nothing, an empty one that is on its idle term, and a
+    loaded one ``(k * p_max + (1.0 - k) * p_max * min(1.0, load /
+    capacity)) * dt / 3600.0``, for frames of ``dt`` s, the operations of
     ``host_power`` and ``accumulate`` spelled out inline (``u if u < 1.0
     else 1.0`` is ``min(1.0, u)``, NaN included).  Every term is ``p * dt /
     3600.0``, as ``accumulate`` forms it, and the terms are added one by
-    one, so the float sum keeps its order and bits.
+    one onto the run's total, so the float sum keeps its order and bits; the
+    energy returned is the new total less the old.
     """
-    npa, _, draws, coefficients, _ = constant
-    if npa:
+    draws, coefficients, _ = run.constant
+    before = total_wh = run.energy_wh
+    dt = run.scenario.frame_seconds
+    if run.scenario.policy.kind == "NPA":
         for wh in draws:
             total_wh += wh
-        return total_wh
-    for host, load, wh, terms in zip(hosts, loads, draws, coefficients):
-        if not host.powered_on:
-            continue
-        if load is None:
-            total_wh += wh
-        else:
-            idle, span, capacity = terms
-            u = load / capacity
-            total_wh += (idle + span * (u if u < 1.0 else 1.0)) * dt / 3600.0
-    return total_wh
+    else:
+        for host, load, wh, terms in zip(run.hosts, loads, draws, coefficients):
+            if not host.powered_on:
+                continue
+            if load is None:
+                total_wh += wh
+            else:
+                idle, span, capacity = terms
+                u = load / capacity
+                total_wh += (idle + span * (u if u < 1.0 else 1.0)) * dt / 3600.0
+    run.energy_wh = total_wh
+    return total_wh - before
 
 
-def step(state: SimulationState, scenario: Scenario, sharing=()):
+def step(state: SimulationState, sharing=()):
     """Advance the simulation by one frame; returns the frame's metrics.
 
     The whole fleet's residents, host by host in resident order, take their
@@ -206,22 +215,19 @@ def step(state: SimulationState, scenario: Scenario, sharing=()):
     Each host with VMs has its demands summed once, left to right; that
     load goes to ``share_mips`` and to the energy charge (``_charge``).  A
     host with no residents is not shared, and its draw, like every NPA
-    host's, is the run's constant term, computed once per run.  Then one
-    loop over the residents, in the same order, advances their work.
+    host's, is the run's constant term, computed when its state was built.
+    Then one loop over the residents, in the same order, advances their work.
 
-    ``sharing`` lists static (state, scenario) runs that hold this run's
-    VM states and host resident lists, as ``run_lockstep`` arranges; this
+    ``sharing`` lists the states of static runs that hold this run's VM
+    states and host resident lists, as ``run_lockstep`` arranges; this
     run must be static too.  The one pass steps them all.  Each keeps its
     own hosts' power states, energy meter and FrameMetrics, and its own
     frame index, which advances with this run's.
     """
-    runs = [(state, scenario), *sharing]
-    if sharing and any(sc.policy.kind not in STATIC_KINDS for _, sc in runs):
+    runs = [state, *sharing]
+    if sharing and any(run.scenario.policy.kind not in STATIC_KINDS for run in runs):
         raise ValueError("only static runs can share a frame pass")
-    dt = scenario.frame_seconds
-    for run, run_scenario in runs:
-        if run.constant is None or run.constant[:2] != (run_scenario.policy.kind == "NPA", dt):
-            run.constant = _constant(run.hosts, run_scenario)
+    scenario, dt = state.scenario, state.scenario.frame_seconds
     frame = state.frame_index
     active = state.active
     measurements = len(active)
@@ -233,9 +239,9 @@ def step(state: SimulationState, scenario: Scenario, sharing=()):
     # keyed uniform draws, so the trace for (seed, vm, frame) is
     # policy-independent
     ids = [vm_id for host in state.hosts for vm_id in host.resident_vms]
-    utilizations = state.trace.utilizations(ids, frame, len(state.vms))
+    utilizations = state.trace.utilizations(ids, frame)
     fleet = list(map(state.vms.__getitem__, ids))
-    fleet_demands = list(map(mul, utilizations, map(state.constant[4].__getitem__, ids)))
+    fleet_demands = list(map(mul, utilizations, map(state.constant[2].__getitem__, ids)))
 
     # 2. proportional sharing of each host's summed demand, which is also the
     # load that energy is charged from, so an oversubscribed host is exactly
@@ -280,11 +286,7 @@ def step(state: SimulationState, scenario: Scenario, sharing=()):
 
     # 4. each run's energy, from the loads and the power states in force
     # during the frame
-    frame_wh = []
-    for run, _ in runs:
-        before = run.energy_wh
-        run.energy_wh = _charge(before, run.hosts, loads, run.constant, dt)
-        frame_wh.append(run.energy_wh - before)
+    frame_wh = [_charge(run, loads) for run in runs]
 
     # 5. policy reallocation, applied atomically
     plan = policies.reallocate(scenario.policy, state.hosts, active, state.rng)
@@ -302,7 +304,7 @@ def step(state: SimulationState, scenario: Scenario, sharing=()):
             if host.powered_on and not host.resident_vms:
                 host.powered_on = False
 
-    for (run, _), wh in zip(runs, frame_wh):
+    for run, wh in zip(runs, frame_wh):
         run.frame_index += 1
         run.frames.append(FrameMetrics(
             frame_index=frame, energy_wh=wh, violation_events=violations,
@@ -312,13 +314,15 @@ def step(state: SimulationState, scenario: Scenario, sharing=()):
 
 
 def simulate(scenario: Scenario, seed=None):
-    """Run to completion; returns (final state, aggregated RunMetrics)."""
-    state = initial_placement(scenario, seed=seed)
-    return state, run_lockstep([(state, scenario)])[0]
+    """Run to completion under ``seed``, by default the scenario's; returns
+    (final state, aggregated RunMetrics)."""
+    trace = None if seed is None else WorkloadTrace(seed, len(scenario.vms))
+    state = initial_placement(scenario, trace)
+    return state, run_lockstep([state])[0]
 
 
-def run_lockstep(runs):
-    """Step placed (state, scenario) runs side by side until each ends.
+def run_lockstep(states):
+    """Step placed runs' states side by side until each ends.
 
     Every run steps frame ``f`` before any steps ``f + 1``, so runs that
     share a ``WorkloadTrace`` draw each (vm, frame) once.  Static runs (NPA
@@ -345,9 +349,9 @@ def run_lockstep(runs):
     stall.  A run that still reaches MAX_FRAMES, its VMs idling, raises
     then.
     """
-    for state, scenario in runs:
+    for state in states:
         frames = (MAX_FRAMES - state.frame_index) * (1 + 1e-9)
-        dt, vms = scenario.frame_seconds, state.active.values()
+        dt, vms = state.scenario.frame_seconds, state.active.values()
         rates = [vm.spec.requested_mips * dt for vm in vms]
         stuck = sum(not r or vm.remaining_work_mi / r > frames for vm, r in zip(vms, rates))
         if stuck and any(vm.remaining_work_mi - r < vm.remaining_work_mi
@@ -358,38 +362,37 @@ def run_lockstep(runs):
             raise StalledRunError("frame %d advanced no VM's remaining work; the run "
                                   "cannot end" % state.frame_index)
     passes = []  # (the run that holds the VM states, the runs that share its pass)
-    for run in runs:
-        if not run[0].active:
+    for state in states:
+        if not state.active:
             continue
         for lead, sharing in passes:
-            if _alike(lead, run):
-                _share_vms(lead[0], run[0])
-                sharing.append(run)
+            if _alike(lead, state):
+                _share_vms(lead, state)
+                sharing.append(state)
                 break
         else:
-            passes.append((run, []))
+            passes.append((state, []))
     while passes:
-        for (state, scenario), sharing in passes:
+        for state, sharing in passes:
             if state.frame_index == MAX_FRAMES:
                 raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
                                       "unfinished; use longer frames"
                                       % (MAX_FRAMES, len(state.active)))
-            step(state, scenario, sharing=sharing)
-        passes = [p for p in passes if p[0][0].active]
-    return [_run_metrics(state, scenario) for state, scenario in runs]
+            step(state, sharing=sharing)
+        passes = [p for p in passes if p[0].active]
+    return [_run_metrics(state) for state in states]
 
 
-def _alike(lead, run):
-    """True when ``run`` can share the frame pass of ``lead``.
+def _alike(a, b):
+    """True when the run of state ``b`` can share the frame pass of ``a``.
 
     Both must be static, on one trace and at one frame, with scenarios equal
     apart from the policy, the same residents on each host and the same work
     left on each VM.
     """
-    (a, a_scenario), (b, b_scenario) = lead, run
-    return (a_scenario.policy.kind in STATIC_KINDS and b_scenario.policy.kind in STATIC_KINDS
+    return (a.scenario.policy.kind in STATIC_KINDS and b.scenario.policy.kind in STATIC_KINDS
             and a.trace is b.trace and a.frame_index == b.frame_index
-            and replace(b_scenario, policy=a_scenario.policy) == a_scenario
+            and replace(b.scenario, policy=a.scenario.policy) == a.scenario
             and [h.resident_vms for h in a.hosts] == [h.resident_vms for h in b.hosts]
             and [v.remaining_work_mi for v in a.vms] == [v.remaining_work_mi for v in b.vms])
 
@@ -401,7 +404,7 @@ def _share_vms(lead, state):
         host.resident_vms = lead_host.resident_vms
 
 
-def _run_metrics(state, scenario):
+def _run_metrics(state):
     violations = sum(f.violation_events for f in state.frames)
     measurements = sum(f.measurements for f in state.frames)
     shortfall = math.fsum(f.shortfall_sum for f in state.frames)
@@ -410,4 +413,4 @@ def _run_metrics(state, scenario):
         sla_violation_pct=100.0 * violations / measurements if measurements else 0.0,
         migration_count=sum(f.migrations for f in state.frames),
         avg_sla_pct=100.0 * shortfall / violations if violations else 0.0,
-        sim_duration_s=state.frame_index * scenario.frame_seconds)
+        sim_duration_s=state.frame_index * state.scenario.frame_seconds)

@@ -3,16 +3,16 @@
 The generator is splitmix64 (Steele, Lea & Flood's 64-bit mixer): pure
 integer arithmetic, identical streams on every platform and Python
 version.  Platform default generators are deliberately not used.  A run's
-``SeededRng`` is a sequential stream, which RC's random selection draws
-from, and ``keyed_u01``, the reference keyed draw.
+``SeededRng``, under its trace's seed, is a sequential stream, which RC's
+random selection draws from, and ``keyed_u01``, the reference keyed draw.
 
 Utilization samples are *keyed* rather than sequential: the draw for a
 VM in a frame is a pure function of (seed, vm id, frame index), walked on
-from the VM's value at the frame before.  A run's ``WorkloadTrace`` holds
-its seed and makes those draws.  Two policies run against the same seed
-therefore see identical per-VM workloads even when they migrate, complete,
-or power-manage differently, which keeps cross-policy comparisons
-pointwise meaningful.
+from the VM's value at the frame before.  A run's ``WorkloadTrace``, made
+for its fleet, holds the run's seed and makes those draws.  Two policies
+run against the same seed therefore see identical per-VM workloads even
+when they migrate, complete, or power-manage differently, which keeps
+cross-policy comparisons pointwise meaningful.
 """
 
 import sys
@@ -124,63 +124,61 @@ def walk_utilization(previous: float, draw: float, step: float) -> float:
 
 
 class WorkloadTrace:
-    """A run's workload under one seed: each VM's utilization at the latest two frames.
+    """A run's workload under one seed, for a fleet of ``n_vms`` VMs: each VM's
+    utilization at the latest two frames.
 
     A VM's utilization at frame 0 is its keyed draw ``keyed_u01(vm, 0)``
     under the trace's seed; at a later frame ``f`` it is
     ``walk_utilization(u, keyed_u01(vm, f), DEFAULT_UTIL_STEP)``, ``u``
-    being its value at ``f - 1``.  Runs of that seed that share a trace,
+    being its value at ``f - 1``.  Runs of that fleet that share a trace,
     and step frame ``f`` before any of them steps ``f + 1``, see one
     workload: the first to need a VM at a frame draws it, the others read
     it.  The trace holds two values per VM, in two lists indexed by VM id
     (``current[v]`` is None until VM ``v`` is drawn at ``frame``), however
-    many frames or runs read it.
+    many frames or runs read it.  Its ``frame`` is -1 until its first draw.
     """
 
-    __slots__ = ("seed", "fleet_size", "frame", "current", "previous", "_lanes")
+    __slots__ = ("seed", "n_vms", "frame", "current", "previous", "_lanes")
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, n_vms: int):
         self.seed = seed & _MASK64
-        self.fleet_size = None  # the VM count of the runs placed on it (``engine.placed_state``)
-        self.frame = 0
+        self.n_vms = n_vms
+        self.frame = -1
         self.current = []  # utilization at ``frame``, by vm id
         self.previous = []  # utilization at ``frame - 1``, by vm id
         # each VM's _mix_key(mixed seed, vm id) as a ``_top_bits`` lane, by vm id
-        self._lanes = []
+        mixed_seed = _mix64(self.seed)
+        self._lanes = [_mix_key(mixed_seed, v).to_bytes(16, "little") for v in range(n_vms)]
 
-    def utilizations(self, vm_ids, frame: int, fleet_size: int) -> list:
+    def utilizations(self, vm_ids, frame: int) -> list:
         """Each VM's utilization at ``frame``, in the order of ``vm_ids``.
 
-        VM ids are positions in a fleet of ``fleet_size``.  The first call
-        at a frame turns the trace over to it, with ``current`` one None
-        per VM; it raises ``RuntimeError`` unless the frame is 0 or the
-        one after the trace's, as when runs sharing the trace fall out of
-        lockstep.  A VM already drawn at ``frame`` is read from
-        ``current``; any other is drawn and stored there.  Each VM's
-        first-key mix is computed once per trace and kept; the frame's key
-        is folded into all of them in one ``_top_bits`` batch, and the
-        walk's float operations are spelled out inline (``b * 2.0 ** -52``
-        is exactly ``2.0 * draw``).  On a frame's first call every VM is
-        drawn and the values drawn are returned as they are.
+        VM ids are positions in the trace's fleet.  The first call at a
+        frame turns the trace over to it, with ``current`` one None per VM;
+        it raises ``RuntimeError`` unless the frame is 0 or the one after
+        the trace's (so a fresh trace's first frame is 0), as when runs
+        sharing the trace fall out of lockstep.
+        A VM already drawn at ``frame`` is read from ``current``; any other
+        is drawn and stored there.  The frame's key is folded into the VMs'
+        first-key mixes in one ``_top_bits`` batch, and the walk's float
+        operations are spelled out inline (``b * 2.0 ** -52`` is exactly
+        ``2.0 * draw``).  On a frame's first call every VM is drawn and the
+        values drawn are returned as they are.
         """
         current = self.current
-        if self.frame != frame or len(current) != fleet_size:
+        if self.frame != frame:
             if frame != 0 and frame != self.frame + 1:
                 raise RuntimeError("a run at frame %d shares a workload trace at frame %d"
                                    % (frame, self.frame))
             self.frame, self.previous = frame, current
-            self.current = current = [None] * fleet_size
+            self.current = current = [None] * self.n_vms
             drawn = vm_ids
         else:
             drawn = [v for v in vm_ids if current[v] is None]
             if not drawn:
                 return list(map(current.__getitem__, vm_ids))
-        lanes = self._lanes
-        if len(lanes) < fleet_size:
-            mixed_seed = _mix64(self.seed)
-            lanes += [_mix_key(mixed_seed, v).to_bytes(16, "little")
-                      for v in range(len(lanes), fleet_size)]
-        bits = _top_bits(b"".join(map(lanes.__getitem__, drawn)), (frame * _GOLDEN) & _MASK64)
+        bits = _top_bits(b"".join(map(self._lanes.__getitem__, drawn)),
+                         (frame * _GOLDEN) & _MASK64)
         values = []
         append = values.append
         if frame:

@@ -296,24 +296,24 @@ def test_experiment_places_the_fleet_once(monkeypatch):
         calls.append(req)
         return mbfd(req)
 
-    def recorded(runs):
+    def recorded(states):
         # as placed, before static rows join one pass
-        placed.append([(state, scenario, [*state.hosts, *state.vms],
+        placed.append([(state, [*state.hosts, *state.vms],
                         [list(h.resident_vms) for h in state.hosts],
-                        [h.powered_on for h in state.hosts]) for state, scenario in runs])
-        return run_lockstep(runs)
+                        [h.powered_on for h in state.hosts]) for state in states])
+        return run_lockstep(states)
 
     monkeypatch.setattr(engine, "mbfd", counted)
     monkeypatch.setattr(cli, "run_lockstep", recorded)
     run_experiment(parse_config("runs = 2\n"))
     assert len(calls) == 1
     assert len(placed) == 2 and all(len(runs) == 7 for runs in placed)
-    objects = [o for runs in placed for _, _, states, *_ in runs for o in states]
+    objects = [o for runs in placed for _, states, *_ in runs for o in states]
     assert len({id(o) for o in objects}) == len(objects) == 2 * 7 * (100 + 290)
     for i, runs in enumerate(placed):
-        for state, scenario, _, residents, powered in runs:
-            alone = engine.initial_placement(scenario, seed=state.rng.seed)
-            assert state.rng.seed == cli.child_rng(scenario.seed, i).seed
+        for state, _, residents, powered in runs:
+            alone = engine.initial_placement(state.scenario)
+            assert state.rng.seed == cli.child_rng(state.scenario.seed, i).seed
             assert residents == [h.resident_vms for h in alone.hosts]
             assert powered == [h.powered_on for h in alone.hosts]
 

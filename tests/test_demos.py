@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the current library."""
+"""Every demo script and every ``python`` block of the README runs to completion
+against the current library."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text()
+# (line of the opening fence, the block's code)
+BLOCKS = [(README.count("\n", 0, m.start()) + 1, m.group(1))
+          for m in re.finditer(r"^```python\n(.*?)^```$", README, re.M | re.S)]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -19,3 +25,8 @@ def test_demo_runs(demo):
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("line, code", BLOCKS, ids=["README-line%d" % n for n, _ in BLOCKS])
+def test_readme_python_block_runs(line, code):
+    exec(compile("\n" * line + code, str(ROOT / "README.md"), "exec"), {})

@@ -38,23 +38,23 @@ class SampledTrace(WorkloadTrace):
     """A workload trace whose utilizations ``sampler(vm_id, frame)`` gives, called
     once per VM asked for, in the order asked."""
 
-    def __init__(self, seed, sampler):
-        super().__init__(seed)
+    def __init__(self, seed, n_vms, sampler):
+        super().__init__(seed, n_vms)
         self.sampler = sampler
 
-    def utilizations(self, vm_ids, frame, fleet_size):
+    def utilizations(self, vm_ids, frame):
         return [self.sampler(vm_id, frame) for vm_id in vm_ids]
 
 
 def sampled(sc, sampler):
     """``sc`` placed, at frame 0, on a trace that ``sampler`` gives."""
-    return initial_placement(sc, trace=SampledTrace(sc.seed, sampler))
+    return initial_placement(sc, SampledTrace(sc.seed, len(sc.vms), sampler))
 
 
 def simulate_sampled(sc, sampler):
     """``simulate(sc)`` on a trace that ``sampler`` gives."""
     state = sampled(sc, sampler)
-    return state, engine.run_lockstep([(state, sc)])[0]
+    return state, engine.run_lockstep([state])[0]
 
 
 def host_1000():
@@ -176,7 +176,7 @@ def test_a_vm_finishes_when_its_share_covers_its_work(left, finished):
     state = sampled(sc, pinned(1.0))
     vm = state.vms[0]
     vm.remaining_work_mi = left
-    step(state, sc)
+    step(state)
     if finished:
         assert vm.remaining_work_mi == 0.0 and math.copysign(1.0, vm.remaining_work_mi) == 1.0
         assert vm.host_id is None and not state.active and not state.hosts[0].resident_vms
@@ -214,7 +214,7 @@ def test_placement_consistency_every_frame(policy, lo, hi):
     state = initial_placement(sc)
     assert_consistent(state)
     while state.active:
-        step(state, sc)
+        step(state)
         assert_consistent(state)
 
 
@@ -229,7 +229,7 @@ def test_sla_accounting_on_oversubscription():
     state.hosts[1].resident_vms = []
     for vm in state.vms:
         vm.host_id = 0
-    metrics = step(state, sc)
+    metrics = step(state)
     assert metrics.violation_events == 2
     assert metrics.measurements == 2
     # shortfall is (600-500)/600 per VM
@@ -246,10 +246,11 @@ def test_oversubscribed_host_draws_exactly_peak_power():
     vms = [VmState(spec=v, host_id=0, remaining_work_mi=v.total_work_mi) for v in vm_specs]
     sc = Scenario(hosts=(spec,), vms=tuple(vm_specs), policy=PolicyConfig("DVFS"),
                   frame_seconds=60.0)
-    state = SimulationState(frame_index=0, hosts=[HostState(spec=spec, resident_vms=[0, 1, 2])],
-                            vms=vms, rng=SeededRng(1), trace=SampledTrace(1, pinned(1.0)),
+    state = SimulationState(frame_index=0, scenario=sc,
+                            hosts=[HostState(spec=spec, resident_vms=[0, 1, 2])],
+                            vms=vms, rng=SeededRng(1), trace=SampledTrace(1, 3, pinned(1.0)),
                             active={v.spec.id: v for v in vms})
-    metrics = step(state, sc)
+    metrics = step(state)
     assert metrics.violation_events == 3
     assert metrics.energy_wh == power(spec, 1.0) * 60.0 / 3600.0
 
@@ -266,24 +267,24 @@ def two_odd_hosts(policy, work_mi, second_on, u):
              HostState(spec=specs[1], powered_on=second_on)]
     sc = Scenario(hosts=specs, vms=(vm_spec,), policy=PolicyConfig(policy),
                   frame_seconds=60.0)
-    return SimulationState(frame_index=0, hosts=hosts, vms=[vm], rng=SeededRng(1),
-                           trace=SampledTrace(1, pinned(u)), active={0: vm}, energy_wh=0.1), sc
+    return SimulationState(frame_index=0, scenario=sc, hosts=hosts, vms=[vm], rng=SeededRng(1),
+                           trace=SampledTrace(1, 1, pinned(u)), active={0: vm}, energy_wh=0.1)
 
 
 def test_empty_dvfs_hosts_draw_idle_when_on_and_nothing_when_off():
     # host 0's only VM finishes in frame 0; host 1 is off throughout
-    state, sc = two_odd_hosts("DVFS", 15000.0, second_on=False, u=1.0)
-    step(state, sc)
+    state = two_odd_hosts("DVFS", 15000.0, second_on=False, u=1.0)
+    step(state)
     assert not state.active and state.hosts[0].powered_on
     before = state.energy_wh
-    step(state, sc)
-    assert state.energy_wh == before + power(sc.hosts[0], 0.0) * 60.0 / 3600.0
+    step(state)
+    assert state.energy_wh == before + power(state.scenario.hosts[0], 0.0) * 60.0 / 3600.0
     assert state.frames[-1].energy_wh == state.energy_wh - before
 
 
 def test_empty_npa_host_draws_peak_power():
-    state, sc = two_odd_hosts("NPA", 150000.0, second_on=True, u=0.5)
-    step(state, sc)
+    state = two_odd_hosts("NPA", 150000.0, second_on=True, u=0.5)
+    step(state)
     assert state.energy_wh == 0.1 + 247.3 * 60.0 / 3600.0 + 247.3 * 60.0 / 3600.0
 
 
@@ -299,7 +300,7 @@ def test_empty_hosts_are_neither_shared_nor_powered(monkeypatch):
     state = sampled(sc, pinned(1.0))
     state.hosts[1].powered_on = True
     assert [h.powered_on for h in state.hosts] == [True, True, False, False]
-    step(state, sc)
+    step(state)
     assert shared == [0]
     # host 0 at its load, then host 1's idle draw, and nothing for hosts 2 and 3
     spec = sc.hosts[0]
@@ -315,7 +316,7 @@ def test_frame_that_advances_no_work_stops_the_run(monkeypatch):
     monkeypatch.setattr(engine, "MAX_FRAMES", 12)
     state = sampled(sc, pinned(0.0))
     with pytest.raises(StalledRunError, match="limit of 12 frames with 1 VM"):
-        engine.run_lockstep([(state, sc)])
+        engine.run_lockstep([state])
     assert state.frame_index == 12 and state.vms[0].remaining_work_mi == 150000.0
 
 
@@ -334,7 +335,7 @@ def test_a_vm_finishing_at_exactly_zero_is_progress(monkeypatch):
     monkeypatch.setattr(engine, "MAX_FRAMES", 12)
     state = sampled(sc, lambda vm_id, frame: float(vm_id == 0))
     with pytest.raises(StalledRunError, match="limit of 12 frames with 1 VM"):
-        engine.run_lockstep([(state, sc)])
+        engine.run_lockstep([state])
     assert state.frame_index == 12
     assert state.vms[0].remaining_work_mi == 0.0 and list(state.active) == [1]
 
@@ -346,15 +347,15 @@ def test_a_shared_static_pass_stalls_as_a_run_of_its_own(monkeypatch):
     monkeypatch.setattr(engine, "MAX_FRAMES", 12)
     with pytest.raises(StalledRunError) as alone:
         simulate_sampled(sc, sampler)
-    trace = SampledTrace(sc.seed, sampler)
+    trace = SampledTrace(sc.seed, len(sc.vms), sampler)
     scenarios = [replace(sc, policy=PolicyConfig(kind)) for kind in ("NPA", "DVFS")]
-    runs = [(initial_placement(s, trace=trace), s) for s in scenarios]
+    states = [initial_placement(s, trace) for s in scenarios]
     with pytest.raises(StalledRunError) as shared:
-        engine.run_lockstep(runs)
-    assert runs[1][0].active is runs[0][0].active  # the two runs made one pass
+        engine.run_lockstep(states)
+    assert states[1].active is states[0].active  # the two runs made one pass
     assert str(shared.value) == str(alone.value) == (
         "the run reached its limit of 12 frames with 2 VM(s) unfinished; use longer frames")
-    assert [state.frame_index for state, _ in runs] == [12, 12]
+    assert [state.frame_index for state in states] == [12, 12]
 
 
 def test_a_frame_in_which_every_vm_idles_is_not_a_stall():
@@ -366,7 +367,7 @@ def test_a_frame_in_which_every_vm_idles_is_not_a_stall():
                   total_work_mi=150000.0),)
     sc = Scenario(hosts=hosts, vms=vms, policy=PolicyConfig("DVFS"), seed=0)
     state = initial_placement(sc)
-    step(state, sc)
+    step(state)
     assert state.vms[0].remaining_work_mi == 150000.0
     state, metrics = simulate(sc)
     assert not state.active and state.vms[0].remaining_work_mi == 0.0
@@ -423,24 +424,24 @@ def test_a_vm_whose_frame_rounds_to_no_work_stops_the_run_before_its_first_frame
 
 def test_runs_sharing_a_trace_must_step_in_lockstep():
     sc = small_scenario(policy="DVFS", n_hosts=2, vm_mips=(250.0, 500.0))
-    trace = WorkloadTrace(sc.seed)
-    ahead, behind = (initial_placement(sc, trace=trace) for _ in range(2))
-    step(ahead, sc)
-    step(behind, sc)
-    step(ahead, sc)
-    step(ahead, sc)
+    trace = WorkloadTrace(sc.seed, len(sc.vms))
+    ahead, behind = (initial_placement(sc, trace) for _ in range(2))
+    step(ahead)
+    step(behind)
+    step(ahead)
+    step(ahead)
     with pytest.raises(RuntimeError, match="run at frame 1 shares a workload trace at frame 2"):
-        step(behind, sc)
+        step(behind)
 
 
 def test_only_static_runs_share_a_frame_pass():
-    trace = WorkloadTrace(42)
+    trace = WorkloadTrace(42, 1)
     mm = replace(small_scenario(), policy=PolicyConfig("MM", 0.3, 0.7))
     dvfs = small_scenario(policy="DVFS")
-    runs = [(initial_placement(sc, trace=trace), sc) for sc in (mm, dvfs)]
-    for lead, other in (runs, runs[::-1]):
+    states = [initial_placement(sc, trace) for sc in (mm, dvfs)]
+    for lead, other in (states, states[::-1]):
         with pytest.raises(ValueError, match="only static runs can share a frame pass"):
-            step(*lead, sharing=[other])
+            step(lead, sharing=[other])
 
 
 def test_simulation_is_deterministic():
@@ -479,18 +480,17 @@ class CountingTrace(WorkloadTrace):
 
     keyed = 0
 
-    def utilizations(self, vm_ids, frame, fleet_size):
-        fresh = self.frame != frame or len(self.current) != fleet_size
+    def utilizations(self, vm_ids, frame):
+        fresh = self.frame != frame
         self.keyed += sum(1 for v in vm_ids if fresh or self.current[v] is None)
-        return super().utilizations(vm_ids, frame, fleet_size)
+        return super().utilizations(vm_ids, frame)
 
 
 def run_counting_draws(sc):
-    state = initial_placement(sc)
+    state = initial_placement(sc, CountingTrace(sc.seed, len(sc.vms)))
     state.rng = CountingRng(state.rng.seed)  # the same, still unused, stream
-    state.trace = CountingTrace(state.rng.seed)  # the same, still unused, trace
     while state.active:
-        step(state, sc)
+        step(state)
     return state
 
 
@@ -507,30 +507,39 @@ def test_rc_consumes_extra_draws_only_when_selecting():
     assert state.rng.sequential > 0
 
 
-def test_a_run_refuses_a_trace_of_another_seed():
-    # sharing it would hand the run another seed's workload
+def test_a_run_takes_its_seed_from_its_trace():
+    # the trace is the run's only seed: its sequential stream is under it too
     sc = small_scenario(vm_mips=(250.0, 500.0))
     plan = engine.place_fleet(sc)
-    with pytest.raises(ValueError, match="run of seed 7 cannot share a workload trace of seed 8"):
-        placed_state(sc, plan, seed=7, trace=WorkloadTrace(8))
-    with pytest.raises(ValueError, match="run of seed 42 cannot share"):
-        initial_placement(sc, trace=WorkloadTrace(child_rng(42, 0).seed))
-    trace = WorkloadTrace(7)
-    assert placed_state(sc, plan, seed=7, trace=trace).trace is trace
-    assert placed_state(sc, plan, seed=7).trace.seed == 7
+    trace = WorkloadTrace(7, 2)
+    state = placed_state(sc, plan, trace)
+    assert state.trace is trace and state.rng.seed == 7 and state.scenario is sc
+    assert placed_state(sc, plan).trace.seed == placed_state(sc, plan).rng.seed == sc.seed
 
 
 def test_runs_on_fleets_of_two_sizes_cannot_share_a_trace():
-    # the second run would turn the trace over to its own fleet at frame 0,
-    # and the first would then walk from the second's draws
-    trace = WorkloadTrace(42)
+    # the second run would walk from draws of a fleet not its own
     dvfs = default_paper_scenario("DVFS", n_hosts=10, n_vms=29)
     mm = default_paper_scenario("MM", 0.3, 0.7, n_hosts=10, n_vms=20)
-    state = placed_state(dvfs, engine.place_fleet(dvfs), trace=trace)
+    trace = WorkloadTrace(42, len(dvfs.vms))
+    state = placed_state(dvfs, engine.place_fleet(dvfs), trace)
     with pytest.raises(ValueError, match="of 20 VMs cannot share a workload trace of 29 VMs"):
-        placed_state(mm, engine.place_fleet(mm), trace=trace)
+        placed_state(mm, engine.place_fleet(mm), trace)
     # nothing was drawn, and the first run goes on alone
-    assert trace.current == [] and engine.run_lockstep([(state, dvfs)]) == [simulate(dvfs)[1]]
+    assert trace.current == [] and engine.run_lockstep([state]) == [simulate(dvfs)[1]]
+
+
+def test_a_run_refuses_a_plan_for_another_fleet():
+    # the plan of a 10-host fleet of 20 VMs, and of 29 VMs
+    plan = engine.place_fleet(default_paper_scenario("DVFS", n_hosts=10, n_vms=20))
+    wider = engine.place_fleet(default_paper_scenario("DVFS", n_hosts=10, n_vms=29))
+    assert max(plan.assignments.values()) >= 5
+    for sc, given in ((default_paper_scenario("DVFS", n_hosts=10, n_vms=29), plan),
+                      (default_paper_scenario("DVFS", n_hosts=5, n_vms=20), plan),
+                      (default_paper_scenario("DVFS", n_hosts=10, n_vms=20), wider)):
+        with pytest.raises(ValueError, match="the plan does not place this fleet of %d VMs "
+                                             "on %d hosts" % (len(sc.vms), len(sc.hosts))):
+            placed_state(sc, given)
 
 
 def test_sampler_is_called_host_by_host_in_resident_order():
@@ -541,7 +550,7 @@ def test_sampler_is_called_host_by_host_in_resident_order():
     for _ in range(5):
         expected = [(v, state.frame_index) for h in state.hosts for v in h.resident_vms]
         calls.clear()
-        step(state, sc)
+        step(state)
         assert calls == expected
 
 
@@ -565,14 +574,14 @@ def test_every_binding_the_benchmark_traces_resolves():
 def test_frame_clock_advances_by_frame_seconds():
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,), frame=30.0)
     state = sampled(sc, pinned(1.0))
-    step(state, sc)
+    step(state)
     assert state.frame_index == 1
 
 
 def test_zero_utilization_frames_make_no_progress():
     sc = small_scenario(policy="DVFS", n_hosts=1, vm_mips=(250.0,))
     state = sampled(sc, pinned(0.0))
-    step(state, sc)
+    step(state)
     assert state.vms[0].remaining_work_mi == 150000.0
     # an idle powered-on host still draws idle power
     assert state.frames[0].energy_wh == pytest.approx(175.0 * 60.0 / 3600.0)

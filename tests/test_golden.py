@@ -149,10 +149,10 @@ def test_static_rows_sharing_a_pass_equal_independent_runs(rows):
     _assert_rows_equal_independent_runs(scenario, rows)
     # the same rows through run_lockstep, state by state
     seed = child_rng(scenario.seed, 1).seed
-    trace = WorkloadTrace(seed)
-    runs = [(initial_placement(sc, seed=seed, trace=trace), sc)
-            for sc in (replace(scenario, policy=row) for row in rows)]
-    for (state, sc), metrics in zip(runs, run_lockstep(runs)):
+    trace = WorkloadTrace(seed, len(scenario.vms))
+    states = [initial_placement(replace(scenario, policy=row), trace) for row in rows]
+    for state, metrics in zip(states, run_lockstep(states)):
+        sc = state.scenario
         alone, expected = simulate(sc, seed=seed)
         assert state.energy_wh.hex() == alone.energy_wh.hex(), sc.policy
         assert state.frame_index == alone.frame_index
@@ -164,21 +164,32 @@ def test_static_rows_sharing_a_pass_equal_independent_runs(rows):
 
 
 def test_static_runs_share_a_pass_only_when_placed_alike():
-    # frames of another length, a VM with other work left, another trace
+    # a VM with other work left, frames of another length, a VM on another
+    # host, another trace
     scenario = _mixed_fleet()
-    trace = WorkloadTrace(scenario.seed)
-    runs = [(initial_placement(sc, trace=trace), sc)
-            for sc in (replace(scenario, policy=DVFS), replace(scenario, policy=DVFS),
-                       replace(scenario, policy=NPA, frame_seconds=45.0))]
-    runs[1][0].vms[5].remaining_work_mi = 100000.0
-    runs.append((initial_placement(runs[0][1], seed=7), runs[0][1]))
+    dvfs, n_vms = replace(scenario, policy=DVFS), len(scenario.vms)
+    trace = WorkloadTrace(scenario.seed, n_vms)
+    states = [initial_placement(sc, trace)
+              for sc in (dvfs, dvfs, replace(scenario, policy=NPA, frame_seconds=45.0), dvfs)]
+    states[1].vms[5].remaining_work_mi = 100000.0
+    moved = states[3]
+    src = next(h for h in moved.hosts if len(h.resident_vms) > 1)
+    dst = next(h for h in moved.hosts
+               if h.powered_on and h.spec.p_max_watts != src.spec.p_max_watts)
+    vm_id = src.resident_vms.pop()
+    dst.resident_vms.append(vm_id)
+    moved.vms[vm_id].host_id = dst.spec.id
+    states.append(initial_placement(dvfs, WorkloadTrace(7, n_vms)))
     alone = []
-    for state, sc in runs:
-        copy = initial_placement(sc, seed=state.rng.seed)
-        copy.vms[5].remaining_work_mi = state.vms[5].remaining_work_mi
-        alone.append((run_lockstep([(copy, sc)])[0], copy.energy_wh.hex(), copy.frames))
+    for state in states:
+        copy = initial_placement(state.scenario, WorkloadTrace(state.trace.seed, n_vms))
+        for host, placed in zip(copy.hosts, state.hosts):
+            host.resident_vms = list(placed.resident_vms)
+        for vm, placed in zip(copy.vms, state.vms):
+            vm.host_id, vm.remaining_work_mi = placed.host_id, placed.remaining_work_mi
+        alone.append((run_lockstep([copy])[0], copy.energy_wh.hex(), copy.frames))
     assert [(m, state.energy_wh.hex(), state.frames)
-            for (state, _), m in zip(runs, run_lockstep(runs))] == alone
+            for state, m in zip(states, run_lockstep(states))] == alone
 
 
 def test_static_rows_make_one_host_pass(monkeypatch):
@@ -208,11 +219,11 @@ def test_each_vm_frame_is_drawn_once_per_run_index(monkeypatch):
         draws.append((rng.seed,) + keys)
         return keyed_u01(rng, *keys)
 
-    def counting_utilizations(trace, vm_ids, frame, fleet_size):
-        fresh = trace.frame != frame or len(trace.current) != fleet_size
+    def counting_utilizations(trace, vm_ids, frame):
+        fresh = trace.frame != frame
         draws.extend((trace.seed, v, frame) for v in vm_ids
                      if fresh or trace.current[v] is None)
-        return utilizations(trace, vm_ids, frame, fleet_size)
+        return utilizations(trace, vm_ids, frame)
 
     monkeypatch.setattr(SeededRng, "keyed_u01", counting)
     monkeypatch.setattr(WorkloadTrace, "utilizations", counting_utilizations)

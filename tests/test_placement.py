@@ -301,7 +301,7 @@ def test_mbfd_builds_one_record_per_state_and_per_receiving_host(monkeypatch):
     scenario = default_paper_scenario("ST", upper_threshold=0.5)
     state = initial_placement(scenario)
     for _ in range(20):
-        step(state, scenario)
+        step(state)
     req = PlacementRequest(
         vms=[vm(id=v, demand=s.demand_mips, ram=s.spec.ram_mb, storage=s.spec.storage_gb)
              for v, s in state.active.items()],

@@ -65,9 +65,9 @@ def test_keyed_draw_is_order_independent():
 def test_keyed_draw_matches_pure_function():
     # a trace's frame-0 draw is the keyed draw, whatever was drawn before
     rng = SeededRng(31)
-    assert [rng.keyed_u01(4, 0)] == WorkloadTrace(31).utilizations([4], 0, 5)
+    assert [rng.keyed_u01(4, 0)] == WorkloadTrace(31, 5).utilizations([4], 0)
     rng.next_u64()
-    assert [rng.keyed_u01(4, 0)] == WorkloadTrace(31).utilizations([4], 0, 5)
+    assert [rng.keyed_u01(4, 0)] == WorkloadTrace(31, 5).utilizations([4], 0)
 
 
 _M64 = (1 << 64) - 1
@@ -103,16 +103,15 @@ _positions = st.integers(0, 300)
        st.lists(_positions, max_size=5), st.lists(_positions, max_size=3))
 def test_keyed_draw_equals_the_mix_chain_cached_or_not(seed, keys, earlier, vms):
     assert SeededRng(seed).keyed_u01(*keys) == _unit(_chain(seed, *keys))
-    # the trace keeps each VM's first-key mix: with that cache filled for
-    # other (and maybe the same) ids, over fleets of other sizes, a VM's
-    # frame-0 draw is still the chain's
-    trace = WorkloadTrace(seed)
+    # the trace keeps each VM's first-key mix: after draws of other (and
+    # maybe the same) ids, a VM's frame-0 draw, drawn or read, is the chain's
+    trace = WorkloadTrace(seed, 301)
     for first in earlier:
-        trace.utilizations([first], 0, first + 1)
+        trace.utilizations([first], 0)
     for vm in vms:
         expected = [_unit(_chain(seed, vm, 0))]
-        assert trace.utilizations([vm], 0, vm + 1) == expected
-        assert trace.utilizations([vm], 0, 302) == expected
+        assert trace.utilizations([vm], 0) == expected
+        assert trace.utilizations([vm], 0) == expected
 
 
 _units = st.floats(0.0, 1.0)
@@ -164,13 +163,13 @@ def _check_batch(seed, vm_ids, frame, previous, filled):
             draw = SeededRng(seed).keyed_u01(v, frame)
             expected[v] = draw if frame == 0 else walk_utilization(
                 previous[v], draw, DEFAULT_UTIL_STEP)
-    trace, previous_before = WorkloadTrace(seed), list(previous)
+    trace, previous_before = WorkloadTrace(seed, len(previous)), list(previous)
     if filled is None:
         trace.frame, trace.current = frame - 1, previous
     else:
         trace.frame, trace.previous = frame, previous
         trace.current = [filled.get(v) for v in range(len(previous))]
-    values = trace.utilizations(vm_ids, frame, len(previous))
+    values = trace.utilizations(vm_ids, frame)
     assert values == [expected[v] for v in vm_ids]
     assert trace.frame == frame and trace.current == expected
     assert trace.previous == previous == previous_before
@@ -254,21 +253,30 @@ def test_walk_reference_matches_incremental():
     # the trace, turned over frame by frame, walks each VM exactly as the
     # reference keyed draws walked by walk_utilization do
     seed, vms = 42, [13, 2, 7]
-    rng, trace = SeededRng(seed), WorkloadTrace(seed)
+    rng, trace = SeededRng(seed), WorkloadTrace(seed, 14)
     expected = [rng.keyed_u01(vm, 0) for vm in vms]
-    assert trace.utilizations(vms, 0, 14) == expected
+    assert trace.utilizations(vms, 0) == expected
     for frame in range(1, 30):
         expected = [walk_utilization(u, rng.keyed_u01(vm, frame), DEFAULT_UTIL_STEP)
                     for u, vm in zip(expected, vms)]
-        assert trace.utilizations(vms, frame, 14) == expected
+        assert trace.utilizations(vms, frame) == expected
+
+
+def test_a_fresh_trace_refuses_a_first_frame_after_0():
+    # a walk at frame 1 needs the VMs' values at frame 0, which no run drew
+    trace = WorkloadTrace(42, 2)
+    with pytest.raises(RuntimeError, match="run at frame 1 shares a workload trace at frame -1"):
+        trace.utilizations([0, 1], 1)
+    assert trace.frame == -1 and trace.current == []
+    assert trace.utilizations([0, 1], 0) == [SeededRng(42).keyed_u01(v, 0) for v in (0, 1)]
 
 
 def test_walk_marginal_stays_uniform():
     # reflection preserves the uniform marginal at every frame
     n = 4000
-    trace = WorkloadTrace(9)
+    trace = WorkloadTrace(9, n)
     for frame in range(21):
-        values = trace.utilizations(range(n), frame, n)
+        values = trace.utilizations(range(n), frame)
         if frame in (0, 5, 20):
             mean = sum(values) / n
             assert abs(mean - 0.5) < 0.02
