@@ -17,9 +17,13 @@ line flags take percentages.  An empty config reproduces the default
 seven-row experiment (NPA, DVFS, ST 50/60%, MM 30-70/40-80/50-90%).
 An optional ``[sweep]`` section with ``pairs = 0.3:0.7, 0.4:0.8``
 expands every threshold-taking policy given without thresholds across
-the grid (ST uses the upper value of each pair).  The expansion happens
-at parse time, so ``spec.policies`` holds one validated row per report
-row.
+the grid (ST uses the upper value of each pair); ``pairs`` lines add up.
+The expansion happens at parse time, so ``spec.policies`` holds one
+validated row per report row.
+
+Config sections and ``--policy`` flags become rows through one builder,
+``_rows``.  ``run_experiment`` returns each row's ``RunMetrics``, and
+``emit_report`` renders them beside the spec's rows and scenario.
 """
 
 import argparse
@@ -74,18 +78,6 @@ class ExperimentSpec:
             raise ConfigError("at least one policy is required")
 
 
-@dataclass
-class ReportRow:
-    policy: PolicyConfig
-    runs: list  # the row's RunMetrics, in run order
-
-
-@dataclass
-class Report:
-    rows: list
-    scenario: Scenario  # supplies the seed, runs and frame_seconds cells
-
-
 # Top-level config keys, each also a flag of the same name that overrides it:
 # key -> (type, flag help).
 _SCALAR_KEYS = {"seed": (int, "master RNG seed"),
@@ -94,82 +86,88 @@ _SCALAR_KEYS = {"seed": (int, "master RNG seed"),
                 "hosts": (int, "number of hosts in the fleet"),
                 "vms": (int, "number of VMs in the fleet"),
                 "out": (str, "output path (default: stdout)")}
-_POLICY_KEYS = {"kind": str, "lower": float, "upper": float}
+
+
+def _pairs(value):
+    """``lo:hi, lo:hi, ...`` as a list of (lower, upper) floats."""
+    return [(float(lo), float(hi))
+            for lo, _, hi in (pair.strip().partition(":") for pair in value.split(","))]
+
+
+# Each config section, None for the top level: (key -> converter, the
+# error for an unknown key, the error for a value the converter rejects).
+_SECTIONS = {None: ({key: convert for key, (convert, _) in _SCALAR_KEYS.items()},
+                    "unknown key {!r}", "bad value for {!r}"),
+             "policy": ({"kind": str, "lower": float, "upper": float},
+                        "unknown policy key {!r}", "bad value for {!r}"),
+             "sweep": ({"pairs": _pairs}, "unknown sweep key {!r}", "bad threshold pair")}
 
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse the documented config format into a validated ExperimentSpec."""
-    return _build_spec(*_read_config(text))
+    scalars, sections, pairs = _read_config(text)
+    return _build_spec(scalars, _rows(sections, pairs))
 
 
 def _read_config(text):
-    """Parse config text into (scalars by key, validated policy rows)."""
-    scalars = {}
-    policy_sections = []
-    sweep_pairs = []
-    section = None
+    """Parse config text into (scalars by key, policy sections, sweep pairs).
+
+    Each policy section is a dict of its keys; the pairs of every
+    ``pairs`` line of every ``[sweep]`` section are listed in file order.
+    """
+    sections = [(None, [])]  # (name, [(key, converted value), ...]), in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name == "policy":
-                policy_sections.append({})
-                section = policy_sections[-1]
-            elif name == "sweep":
-                section = "sweep"
-            else:
+            if name not in _SECTIONS:
                 raise ConfigError("line %d: unknown section [%s]" % (lineno, name))
+            sections.append((name, []))
             continue
         if "=" not in line:
             raise ConfigError("line %d: expected key = value" % lineno)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if section is None:
-            if key not in _SCALAR_KEYS:
-                raise ConfigError("line %d: unknown key %r" % (lineno, key))
-            try:
-                scalars[key] = _SCALAR_KEYS[key][0](value)
-            except ValueError:
-                raise ConfigError("line %d: bad value for %r" % (lineno, key))
-        elif section == "sweep":
-            if key != "pairs":
-                raise ConfigError("line %d: unknown sweep key %r" % (lineno, key))
-            try:
-                for pair in value.split(","):
-                    lo, _, hi = pair.strip().partition(":")
-                    sweep_pairs.append((float(lo), float(hi)))
-            except ValueError:
-                raise ConfigError("line %d: bad threshold pair" % lineno)
-        else:
-            if key not in _POLICY_KEYS:
-                raise ConfigError("line %d: unknown policy key %r" % (lineno, key))
-            try:
-                section[key] = _POLICY_KEYS[key](value)
-            except ValueError:
-                raise ConfigError("line %d: bad value for %r" % (lineno, key))
-
-    # [sweep] may follow the [policy] sections, so expand only now
-    policies = []
-    for sec in policy_sections:
-        if "kind" not in sec:
-            raise ConfigError("[policy] section missing 'kind'")
-        kind, lower, upper = sec["kind"], sec.get("lower"), sec.get("upper")
-        grid = [(lower, upper)]
-        if sweep_pairs and lower is None and upper is None and kind not in STATIC_KINDS:
-            grid = [_thresholds(kind, lo, hi) for lo, hi in sorted(sweep_pairs)]
+        key, _, value = (part.strip() for part in line.partition("="))
+        name, items = sections[-1]
+        converters, unknown, bad = _SECTIONS[name]
+        if key not in converters:
+            raise ConfigError("line %d: %s" % (lineno, unknown.format(key)))
         try:
-            policies += [PolicyConfig(kind, lo, hi) for lo, hi in grid]
+            items.append((key, converters[key](value)))
+        except ValueError:
+            raise ConfigError("line %d: %s" % (lineno, bad.format(key)))
+    return (dict(sections[0][1]),
+            [dict(items) for name, items in sections if name == "policy"],
+            [pair for name, items in sections if name == "sweep" for _, pairs in items
+             for pair in pairs])
+
+
+def _rows(sections, pairs):
+    """One validated PolicyConfig per report row, in section order.
+
+    A section maps ``kind`` and any of ``lower`` and ``upper`` to their
+    values.  One that takes thresholds and gives neither becomes one row
+    per sweep pair, in sorted pair order (ST takes the upper value).
+    """
+    rows = []
+    for section in sections:
+        if "kind" not in section:
+            raise ConfigError("[policy] section missing 'kind'")
+        kind, grid = section["kind"], [section]
+        if pairs and section.keys() == {"kind"} and kind not in STATIC_KINDS:
+            grid = [_thresholds(kind, lo, hi) for lo, hi in sorted(pairs)]
+        try:
+            rows += [PolicyConfig(kind, s.get("lower"), s.get("upper")) for s in grid]
         except ValueError as exc:
             raise ConfigError(str(exc))
-    return scalars, policies
+    return rows
 
 
 def _thresholds(kind, lower, upper):
-    """(lower, upper) as a row of ``kind`` takes them, None for one it does not take."""
-    return (lower if kind in TWO_THRESHOLD_KINDS else None,
-            upper if kind not in STATIC_KINDS else None)
+    """A ``kind`` row's section from (lower, upper): None for a threshold it does not take."""
+    return {"kind": kind, "lower": lower if kind in TWO_THRESHOLD_KINDS else None,
+            "upper": upper if kind not in STATIC_KINDS else None}
 
 
 def _build_spec(scalars, policies) -> ExperimentSpec:
@@ -184,8 +182,10 @@ def _build_spec(scalars, policies) -> ExperimentSpec:
                           output_path=scalars.get("out"))
 
 
-def run_experiment(spec: ExperimentSpec) -> Report:
+def run_experiment(spec: ExperimentSpec) -> list:
     """Execute every (policy, thresholds) row over `runs` child-seeded runs.
+
+    Returns one list of RunMetrics per row of ``spec.policies``, in run order.
 
     The fleet is placed once: the plan reads only the fleet, which every
     row shares.  The run index is the outer loop.  Run ``i`` of every row
@@ -196,7 +196,7 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     independent ``simulate`` calls under the same seeds.
     """
     base = spec.scenario
-    rows = [ReportRow(policy=p, runs=[]) for p in spec.policies]
+    runs = [[] for _ in spec.policies]
     scenarios = [replace(base, policy=p) for p in spec.policies]
     try:
         plan = place_fleet(base)
@@ -206,9 +206,9 @@ def run_experiment(spec: ExperimentSpec) -> Report:
         seed = child_rng(base.seed, i).seed
         trace = WorkloadTrace(seed, len(base.vms))
         states = [placed_state(scenario, plan, trace) for scenario in scenarios]
-        for row, metrics in zip(rows, run_lockstep(states)):
-            row.runs.append(metrics)
-    return Report(rows=rows, scenario=base)
+        for row, metrics in zip(runs, run_lockstep(states)):
+            row.append(metrics)
+    return runs
 
 
 def _fmt(value):
@@ -225,11 +225,10 @@ def _pct(fraction):
     return format((Decimal(repr(fraction)) * 100).normalize(), "f")
 
 
-def _row_cells(row: ReportRow, scenario: Scenario):
-    p = row.policy
+def _row_cells(p: PolicyConfig, runs, scenario: Scenario):
     cells = [p.kind, _pct(p.lower_threshold), _pct(p.upper_threshold)]
     for _, field, has_std, static_blank in REPORT_STATS:
-        values = [float(getattr(r, field)) for r in row.runs]
+        values = [float(getattr(r, field)) for r in runs]
         stats = [statistics.fmean(values)]
         if has_std:
             stats.append(statistics.stdev(values) if len(values) > 1 else 0.0)
@@ -237,9 +236,13 @@ def _row_cells(row: ReportRow, scenario: Scenario):
     return cells + [str(scenario.seed), str(scenario.runs), _fmt(scenario.frame_seconds)]
 
 
-def emit_report(report: Report, format="csv") -> bytes:
-    """Render the report as RFC-4180 CSV or an aligned text table."""
-    table = [CSV_COLUMNS] + [_row_cells(r, report.scenario) for r in report.rows]
+def emit_report(spec: ExperimentSpec, runs, format="csv") -> bytes:
+    """Render ``spec``'s rows as RFC-4180 CSV or an aligned text table.
+
+    ``runs`` holds each row's RunMetrics, as ``run_experiment`` returns them.
+    """
+    table = [CSV_COLUMNS] + [_row_cells(p, r, spec.scenario)
+                             for p, r in zip(spec.policies, runs)]
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
@@ -279,7 +282,8 @@ def _spec_from_args(args) -> ExperimentSpec:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    scalars, policies = _read_config(text)
+    scalars, sections, pairs = _read_config(text)
+    policies = _rows(sections, pairs)  # checked even when --policy replaces them
     # each flag overrides the config scalar of the same name
     for key in _SCALAR_KEYS:
         if getattr(args, key) is not None:
@@ -287,11 +291,7 @@ def _spec_from_args(args) -> ExperimentSpec:
     lower = None if args.lower is None else args.lower / 100.0
     upper = None if args.upper is None else args.upper / 100.0
     if args.policy:
-        try:
-            policies = [PolicyConfig(kind, *_thresholds(kind, lower, upper))
-                        for kind in args.policy]
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        policies = _rows([_thresholds(kind, lower, upper) for kind in args.policy], [])
     # the flags apply only to --policy rows; a flag no row takes is an error
     kinds = args.policy or []
     if lower is not None and not any(k in TWO_THRESHOLD_KINDS for k in kinds):
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
-        payload = emit_report(run_experiment(spec), format=args.format)
+        payload = emit_report(spec, run_experiment(spec), format=args.format)
         if spec.output_path:
             with open(spec.output_path, "wb") as fh:
                 fh.write(payload)

@@ -291,8 +291,7 @@ def step(state: SimulationState, sharing=()):
     # 5. policy reallocation, applied atomically
     plan = policies.reallocate(scenario.policy, state.hosts, active, state.rng)
     for v, src, dst in plan.moves:
-        if src is not None:
-            state.hosts[src].resident_vms.remove(v)
+        state.hosts[src].resident_vms.remove(v)
         target = state.hosts[dst]
         target.powered_on = True
         target.resident_vms.append(v)

@@ -118,7 +118,7 @@ class PlacementPlan:
 
 @dataclass
 class MigrationPlan:
-    """List of (vm id, source host id or None, destination host id) moves."""
+    """List of (vm id, source host id, destination host id) moves."""
 
     moves: list
 

@@ -69,6 +69,9 @@ def test_config_comments_and_blank_lines():
     ("[policy]\nkind = ST\nlower = 0.3\nupper = 0.5", "ST takes no lower threshold"),
     ("[sweep]\nstep = 2", "unknown sweep key"),
     ("[sweep]\npairs = 0.3-0.7", "bad threshold pair"),
+    ("[sweep]\npairs = 0.3", "bad threshold pair"),
+    ("[sweep]\npairs = 0.3:0.7:0.9", "bad threshold pair"),
+    ("[sweep]\npairs = 0.3:0.7,", "bad threshold pair"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -96,6 +99,17 @@ def test_sweep_expands_threshold_grid():
     assert parse_config(policies + sweep).policies == expected
     # a [sweep] before the [policy] sections expands them all the same
     assert parse_config(sweep + policies).policies == expected
+    # pairs accumulate across lines and across [sweep] sections
+    split = "[sweep]\npairs = 0.4:0.8\npairs = 0.3:0.7\n"
+    assert parse_config(policies + split).policies == expected
+    apart = "[sweep]\npairs = 0.4:0.8\n" + policies + "[sweep]\npairs = 0.3:0.7\n"
+    assert parse_config(apart).policies == expected
+
+
+def test_spec_needs_a_policy_row():
+    # the parse paths put the default rows in place of none
+    with pytest.raises(ConfigError, match="at least one policy is required"):
+        ExperimentSpec(parse_config("").scenario, [])
 
 
 def test_policy_without_thresholds_or_grid_is_an_error():
@@ -110,8 +124,9 @@ def tiny_config(runs=2):
 
 
 def test_report_has_exact_csv_columns():
-    report = run_experiment(parse_config(tiny_config()))
-    payload = emit_report(report, format="csv").decode("utf-8")
+    spec = parse_config(tiny_config())
+    runs = run_experiment(spec)
+    payload = emit_report(spec, runs, format="csv").decode("utf-8")
     rows = list(csv.reader(io.StringIO(payload)))
     assert rows[0] == CSV_COLUMNS
     assert len(rows) == 3
@@ -122,13 +137,15 @@ def test_report_has_exact_csv_columns():
 
 
 def test_csv_uses_crlf_line_endings():
-    report = run_experiment(parse_config(tiny_config()))
-    assert b"\r\n" in emit_report(report, format="csv")
+    spec = parse_config(tiny_config())
+    runs = run_experiment(spec)
+    assert b"\r\n" in emit_report(spec, runs, format="csv")
 
 
 def test_static_policies_render_blank_sla_cells():
-    report = run_experiment(parse_config(tiny_config()))
-    payload = emit_report(report, format="csv").decode("utf-8")
+    spec = parse_config(tiny_config())
+    runs = run_experiment(spec)
+    payload = emit_report(spec, runs, format="csv").decode("utf-8")
     rows = list(csv.reader(io.StringIO(payload)))
     header = {name: i for i, name in enumerate(rows[0])}
     dvfs = rows[1]
@@ -137,23 +154,24 @@ def test_static_policies_render_blank_sla_cells():
 
 
 def test_table_format_aligns_same_cells():
-    report = run_experiment(parse_config(tiny_config()))
-    table = emit_report(report, format="table").decode("utf-8")
+    spec = parse_config(tiny_config())
+    runs = run_experiment(spec)
+    table = emit_report(spec, runs, format="table").decode("utf-8")
     lines = table.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("policy")
 
 
 def test_empty_report_renders_header_only():
-    from dcsim.cli import Report
-    payload = emit_report(Report(rows=[], scenario=None), format="csv")
+    payload = emit_report(parse_config(""), [], format="csv")
     assert payload.decode("utf-8").strip().split(",") == CSV_COLUMNS
 
 
 def test_emit_report_rejects_unknown_format():
-    report = run_experiment(parse_config(tiny_config()))
+    spec = parse_config(tiny_config())
+    runs = run_experiment(spec)
     with pytest.raises(ValueError):
-        emit_report(report, format="yaml")
+        emit_report(spec, runs, format="yaml")
 
 
 def test_main_writes_csv_to_stdout(capsys):

@@ -9,12 +9,23 @@ from pathlib import Path
 
 import pytest
 
+from dcsim.cli import ExperimentSpec, _spec_from_args, build_parser, parse_config
+from dcsim.model import PolicyConfig
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = (ROOT / "README.md").read_text()
 # (line of the opening fence, the block's code)
 BLOCKS = [(README.count("\n", 0, m.start()) + 1, m.group(1))
           for m in re.finditer(r"^```python\n(.*?)^```$", README, re.M | re.S)]
+# the plain blocks of the README's "## Command line" section
+COMMAND_LINE = re.findall(r"^```\n(.*?)^```$",
+                          README.split("## Command line\n", 1)[1].split("\n## ", 1)[0],
+                          re.M | re.S)
+# each line of the example block, whose lines are all ``dcsim --...`` commands
+EXAMPLES = [line for block in COMMAND_LINE
+            if all(line.startswith("dcsim --") for line in block.splitlines())
+            for line in block.splitlines()]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -30,3 +41,18 @@ def test_demo_runs(demo):
 @pytest.mark.parametrize("line, code", BLOCKS, ids=["README-line%d" % n for n, _ in BLOCKS])
 def test_readme_python_block_runs(line, code):
     exec(compile("\n" * line + code, str(ROOT / "README.md"), "exec"), {})
+
+
+@pytest.mark.parametrize("line", EXAMPLES)
+def test_readme_command_line_example_parses(line):
+    spec = _spec_from_args(build_parser().parse_args(line.split()[1:]))
+    assert isinstance(spec, ExperimentSpec) and spec.policies
+
+
+def test_readme_config_block_gives_its_rows():
+    assert EXAMPLES  # the section's example block is found, so no case is silently dropped
+    config, = [block for block in COMMAND_LINE if "[sweep]" in block]
+    spec = parse_config(config)
+    assert spec.policies == ([PolicyConfig("MM", lo, hi)
+                              for lo, hi in ((0.3, 0.7), (0.4, 0.8), (0.5, 0.9))]
+                             + [PolicyConfig("ST", upper_threshold=hi) for hi in (0.7, 0.8, 0.9)])

@@ -82,8 +82,9 @@ MIXED_ROWS = ([PolicyConfig("NPA"), PolicyConfig("DVFS"), PolicyConfig("ST", upp
 
 
 def test_mixed_fleet_report_matches_golden_bytes():
-    report = run_experiment(ExperimentSpec(scenario=_mixed_fleet(), policies=MIXED_ROWS))
-    assert emit_report(report) == (GOLDEN / "mixed_fleet_runs3_seed42.csv").read_bytes()
+    spec = ExperimentSpec(scenario=_mixed_fleet(), policies=MIXED_ROWS)
+    assert emit_report(spec, run_experiment(spec)) == (
+        GOLDEN / "mixed_fleet_runs3_seed42.csv").read_bytes()
 
 
 # Each kind's run of the mixed fleet at seed 42, recorded before empty hosts
@@ -120,12 +121,13 @@ def test_mixed_fleet_energy_keeps_its_bits(row):
 
 
 def _assert_rows_equal_independent_runs(scenario, rows):
-    report = run_experiment(ExperimentSpec(scenario=scenario, policies=rows))
-    for row in report.rows:
-        independent = [simulate(replace(scenario, policy=row.policy),
+    runs = run_experiment(ExperimentSpec(scenario=scenario, policies=rows))
+    assert len(runs) == len(rows)
+    for policy, row_runs in zip(rows, runs):
+        independent = [simulate(replace(scenario, policy=policy),
                                 seed=child_rng(scenario.seed, i).seed)[1]
                        for i in range(scenario.runs)]
-        assert row.runs == independent, row.policy
+        assert row_runs == independent, policy
 
 
 def test_rows_sharing_a_trace_equal_independent_runs():
