@@ -79,13 +79,13 @@ class ExperimentSpec:
 
 
 # Top-level config keys, each also a flag of the same name that overrides it:
-# key -> (type, flag help).
-_SCALAR_KEYS = {"seed": (int, "master RNG seed"),
-                "runs": (int, "repetitions per row"),
-                "frame_seconds": (float, "frame length in seconds"),
-                "hosts": (int, "number of hosts in the fleet"),
-                "vms": (int, "number of VMs in the fleet"),
-                "out": (str, "output path (default: stdout)")}
+# key -> (type, the default_paper_scenario parameter it sets, flag help).
+_SCALAR_KEYS = {"seed": (int, "seed", "master RNG seed"),
+                "runs": (int, "runs", "repetitions per row"),
+                "frame_seconds": (float, "frame_seconds", "frame length in seconds"),
+                "hosts": (int, "n_hosts", "number of hosts in the fleet"),
+                "vms": (int, "n_vms", "number of VMs in the fleet"),
+                "out": (str, None, "output path (default: stdout)")}
 
 
 def _pairs(value):
@@ -96,7 +96,7 @@ def _pairs(value):
 
 # Each config section, None for the top level: (key -> converter, the
 # error for an unknown key, the error for a value the converter rejects).
-_SECTIONS = {None: ({key: convert for key, (convert, _) in _SCALAR_KEYS.items()},
+_SECTIONS = {None: ({key: convert for key, (convert, _, _) in _SCALAR_KEYS.items()},
                     "unknown key {!r}", "bad value for {!r}"),
              "policy": ({"kind": str, "lower": float, "upper": float},
                         "unknown policy key {!r}", "bad value for {!r}"),
@@ -171,13 +171,13 @@ def _thresholds(kind, lower, upper):
 
 
 def _build_spec(scalars, policies) -> ExperimentSpec:
-    """Build the one Scenario; no policy rows means the default experiment."""
-    scenario = default_paper_scenario(
-        frame_seconds=scalars.get("frame_seconds", 30.0),
-        seed=scalars.get("seed", 42),
-        runs=scalars.get("runs", 10),
-        n_hosts=scalars.get("hosts", 100),
-        n_vms=scalars.get("vms", 290))
+    """Build the one Scenario; no policy rows means the default experiment.
+
+    Only the scalars given reach ``default_paper_scenario``, so its
+    signature holds every default.
+    """
+    scenario = default_paper_scenario(**{param: scalars[key] for key, (_, param, _)
+                                         in _SCALAR_KEYS.items() if param and key in scalars})
     return ExperimentSpec(scenario=scenario, policies=policies or list(DEFAULT_POLICIES),
                           output_path=scalars.get("out"))
 
@@ -212,8 +212,6 @@ def run_experiment(spec: ExperimentSpec) -> list:
 
 
 def _fmt(value):
-    if value is None:
-        return ""
     return ("%.6f" % value).rstrip("0").rstrip(".") or "0"
 
 
@@ -272,7 +270,7 @@ def build_parser():
     parser.add_argument("--lower", type=float, help="lower threshold, percent")
     parser.add_argument("--upper", type=float, help="upper threshold, percent")
     parser.add_argument("--format", choices=["csv", "table"], default="csv")
-    for key, (kind, help_text) in _SCALAR_KEYS.items():
+    for key, (kind, _, help_text) in _SCALAR_KEYS.items():
         parser.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
     return parser
 
@@ -306,7 +304,7 @@ def main(argv=None) -> int:
     try:
         spec = _spec_from_args(args)
         payload = emit_report(spec, run_experiment(spec), format=args.format)
-        if spec.output_path:
+        if spec.output_path is not None:
             with open(spec.output_path, "wb") as fh:
                 fh.write(payload)
         else:

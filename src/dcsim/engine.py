@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass, field, replace
 from operator import mul
 
-from .model import (POLICY_KINDS, STATIC_KINDS, FrameMetrics, HostState, PlacementPlan,
-                    RunMetrics, Scenario, VmState, add_up)
+from .model import (STATIC_KINDS, FrameMetrics, HostState, PlacementPlan, RunMetrics,
+                    Scenario, VmState, add_up)
 from .power import power
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 from . import policies
@@ -35,11 +35,6 @@ from .workload import SeededRng, WorkloadTrace
 # no longer called here; kept bound for the benchmark's tracer until ROADMAP item 13
 from .power import accumulate, host_power  # noqa: F401
 from .workload import walk_utilization  # noqa: F401
-
-# Policies that switch a host off once it empties out.  NPA and DVFS
-# perform no consolidation at run time, so under them a host that empties
-# out stays on (NPA at peak power by definition, DVFS at idle).
-CONSOLIDATING = tuple(k for k in POLICY_KINDS if k not in STATIC_KINDS)
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -297,8 +292,10 @@ def step(state: SimulationState, sharing=()):
         target.resident_vms.append(v)
         active[v].host_id = dst
 
-    # 6. power management
-    if scenario.policy.kind in CONSOLIDATING:
+    # 6. power management: a host that empties out is switched off.  NPA and
+    # DVFS perform no consolidation at run time, so under them it stays on
+    # (NPA at peak power by definition, DVFS at idle).
+    if scenario.policy.kind not in STATIC_KINDS:
         for host in state.hosts:
             if host.powered_on and not host.resident_vms:
                 host.powered_on = False

@@ -18,7 +18,7 @@ from dcsim.cli import (CSV_COLUMNS, ConfigError, DEFAULT_POLICIES, ExperimentSpe
                        run_experiment)
 from dcsim import cli, engine
 from dcsim.engine import MAX_FRAMES
-from dcsim.model import PolicyConfig
+from dcsim.model import PolicyConfig, default_paper_scenario
 
 
 def test_empty_config_gives_default_experiment():
@@ -28,6 +28,7 @@ def test_empty_config_gives_default_experiment():
     assert len(spec.scenario.vms) == 290
     assert spec.scenario.seed == 42
     assert spec.scenario.runs == 10
+    assert spec.scenario == default_paper_scenario()
 
 
 def test_config_scalars_and_policy_sections():
@@ -377,6 +378,22 @@ def test_unwritable_out_path_exits_1(tmp_path, capsys, where):
                  "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_out_path_exits_1(tmp_path, capsys, source):
+    # an empty path is a path that cannot be written, not a request for stdout
+    args = ["--policy", "NPA", "--runs", "1", "--hosts", "2", "--vms", "2"]
+    if source == "flag":
+        args += ["--out", ""]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("out =\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,24 @@ from dcsim.model import PolicyConfig
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = (ROOT / "README.md").read_text()
-# (line of the opening fence, the block's code)
-BLOCKS = [(README.count("\n", 0, m.start()) + 1, m.group(1))
-          for m in re.finditer(r"^```python\n(.*?)^```$", README, re.M | re.S)]
+
+
+def _python_blocks():
+    """(line of the opening fence, code) of each README ``python`` block.
+
+    A block's test id is its ``## `` section and its ordinal there, such as
+    ``Library-1``, so editing another section renames no test.
+    """
+    blocks, seen = [], Counter()
+    for m in re.finditer(r"^```python\n(.*?)^```$", README, re.M | re.S):
+        section = (["README"] + re.findall(r"^## (.+)$", README[:m.start()], re.M))[-1]
+        seen[section] += 1
+        blocks.append(pytest.param(README.count("\n", 0, m.start()) + 1, m.group(1),
+                                   id="%s-%d" % (section, seen[section])))
+    return blocks
+
+
+BLOCKS = _python_blocks()
 # the plain blocks of the README's "## Command line" section
 COMMAND_LINE = re.findall(r"^```\n(.*?)^```$",
                           README.split("## Command line\n", 1)[1].split("\n## ", 1)[0],
@@ -38,8 +54,9 @@ def test_demo_runs(demo):
     assert proc.stdout
 
 
-@pytest.mark.parametrize("line, code", BLOCKS, ids=["README-line%d" % n for n, _ in BLOCKS])
+@pytest.mark.parametrize("line, code", BLOCKS)
 def test_readme_python_block_runs(line, code):
+    # the offset keeps a traceback's line numbers those of the README
     exec(compile("\n" * line + code, str(ROOT / "README.md"), "exec"), {})
 
 
