@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .model import (HostSpec, VmSpec, HostState, VmState, PlacementPlan,
                     MigrationPlan, FrameMetrics, RunMetrics, PolicyConfig, Scenario,
-                    default_paper_scenario)
-from .power import power, accumulate, host_power
+                    default_paper_scenario, power, accumulate, host_power)
 from .placement import PlacementRequest, HostSnapshot, VmRequest, power_increase, mbfd
 from .policies import reallocate
 from .engine import (SimulationState, InfeasibleScenarioError, StalledRunError,

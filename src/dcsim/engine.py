@@ -28,12 +28,11 @@ from operator import mul
 
 from .model import (STATIC_KINDS, FrameMetrics, HostState, PlacementPlan, RunMetrics,
                     Scenario, VmState, add_up)
-from .power import power
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 from . import policies
 from .workload import SeededRng, WorkloadTrace
 # no longer called here; kept bound for the benchmark's tracer until ROADMAP item 13
-from .power import accumulate, host_power  # noqa: F401
+from .model import accumulate, host_power  # noqa: F401
 from .workload import walk_utilization  # noqa: F401
 
 
@@ -156,7 +155,8 @@ def _constant(scenario):
     by VM id.
     """
     npa, dt = scenario.policy.kind == "NPA", scenario.frame_seconds
-    draws = [(s.p_max_watts if npa else power(s, 0.0)) * dt / 3600.0 for s in scenario.hosts]
+    draws = [(s.p_max_watts if npa else s.idle_fraction * s.p_max_watts) * dt / 3600.0
+             for s in scenario.hosts]
     coefficients = [(s.idle_fraction * s.p_max_watts, (1.0 - s.idle_fraction) * s.p_max_watts,
                      s.mips_capacity) for s in scenario.hosts]
     return draws, coefficients, [v.requested_mips for v in scenario.vms]

@@ -1,8 +1,13 @@
-"""Domain types shared by the simulator modules.
+"""Domain types shared by the simulator modules, and the linear host power model.
 
 All types validate their invariants at construction time and raise
 ValueError on violation.  HostState and VmState are the only mutable
 types; they are mutated exclusively by the engine.
+
+A host draws P(u) = k * P_max + (1 - k) * P_max * u at CPU utilization u in
+[0, 1]: an idle fraction k of its peak power plus a part proportional to u.
+Energy is the rectangle-rule integral of P over time, exact because
+utilization is piecewise-constant per frame.
 """
 
 import math
@@ -38,6 +43,23 @@ def check_power_curve(p_max_watts, idle_fraction):
         raise ValueError("p_max_watts must be positive and finite")
     if not 0.0 <= idle_fraction <= 1.0:
         raise ValueError("idle_fraction must be in [0, 1]")
+
+
+def power(spec, u: float) -> float:
+    """Power draw in watts of ``spec`` (a HostSpec or HostSnapshot) at CPU utilization ``u``."""
+    if not 0.0 <= u <= 1.0:
+        raise ValueError("utilization must be in [0, 1]")
+    k = spec.idle_fraction
+    return k * spec.p_max_watts + (1.0 - k) * spec.p_max_watts * u
+
+
+def accumulate(total_wh: float, p_watts: float, dt_seconds: float) -> float:
+    """Return ``total_wh`` plus ``p_watts`` drawn for ``dt_seconds``, in Wh."""
+    if p_watts < 0:
+        raise ValueError("power must be non-negative")
+    if dt_seconds < 0:
+        raise ValueError("duration must be non-negative")
+    return total_wh + p_watts * dt_seconds / 3600.0
 
 
 @dataclass(frozen=True)
@@ -85,6 +107,19 @@ class HostState:
             raise ValueError("a powered-off host cannot have resident VMs")
         if len(set(self.resident_vms)) != len(self.resident_vms):
             raise ValueError("duplicate VM id in resident_vms")
+
+
+def host_power(host: HostState, load: float) -> float:
+    """Power draw of ``host`` at a CPU ``load`` in MIPS.
+
+    The engine gives the sum of the resident VMs' demands, added left to right
+    (``add_up``).  A powered-off host draws nothing; an oversubscribed one is
+    clamped to 100% utilization, as a CPU cannot be more than fully busy.
+    """
+    if not host.powered_on:
+        return 0.0
+    u = min(1.0, load / host.spec.mips_capacity)
+    return power(host.spec, u)
 
 
 @dataclass

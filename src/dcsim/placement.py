@@ -18,8 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .model import PlacementPlan, check_power_curve
-from .power import power
+from .model import PlacementPlan, check_power_curve, power
 
 
 @dataclass(slots=True)

@@ -195,9 +195,8 @@ class WorkloadTrace:
         return values if drawn is vm_ids else list(map(current.__getitem__, vm_ids))
 
 
-def child_rng(rng, run_index: int) -> SeededRng:
-    """Derive an independent per-run stream from a master seed or SeededRng."""
+def child_rng(seed: int, run_index: int) -> SeededRng:
+    """Derive an independent per-run stream from an int master seed."""
     if run_index < 0:
         raise ValueError("run_index must be non-negative")
-    seed = rng.seed if isinstance(rng, SeededRng) else int(rng)
     return SeededRng(_mix_key(_mix64(seed), run_index))

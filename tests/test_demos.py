@@ -73,3 +73,11 @@ def test_readme_config_block_gives_its_rows():
     assert spec.policies == ([PolicyConfig("MM", lo, hi)
                               for lo, hi in ((0.3, 0.7), (0.4, 0.8), (0.5, 0.9))]
                              + [PolicyConfig("ST", upper_threshold=hi) for hi in (0.7, 0.8, 0.9)])
+
+
+def test_readme_layout_names_every_module():
+    layout = README.split("### Layout\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^- `dcsim\.(\w+)`", layout, re.M)
+    modules = [p.stem for p in (ROOT / "src" / "dcsim").glob("*.py") if p.stem != "__init__"]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(modules)

@@ -10,11 +10,10 @@ import pytest
 
 from dcsim import engine
 from dcsim import (InfeasibleScenarioError, SimulationState, StalledRunError, WorkloadTrace,
-                   default_paper_scenario, initial_placement, placed_state, power, simulate,
-                   step)
+                   accumulate, default_paper_scenario, initial_placement, placed_state, power,
+                   simulate, step)
 from dcsim.engine import share_mips
 from dcsim.model import HostSpec, HostState, PolicyConfig, Scenario, VmSpec, VmState
-from dcsim.power import accumulate
 from dcsim.workload import SeededRng, child_rng
 
 

@@ -1,10 +1,12 @@
 """Power model and energy accumulation."""
 
+import importlib.util
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+import dcsim
 from dcsim import accumulate, host_power, power
 from dcsim.model import HostSpec, HostState
 
@@ -78,14 +80,22 @@ def test_host_power_sums_resident_allocations():
     assert p == pytest.approx(power(DEFAULT_PARAMS, 0.5))
 
 
-
 def test_host_power_sums_the_demands_it_is_given():
     # the load is the sum passed in, not a lookup of the host's residents
     host = _host(cap=1000.0, residents=[1])
     p = host_power(host, 500.0)
     assert p == pytest.approx(power(DEFAULT_PARAMS, 0.5))
 
+
 def test_host_power_clamps_at_capacity():
     host = _host(cap=1000.0, residents=[1, 2])
     p = host_power(host, 1800.0)
     assert p == pytest.approx(250.0)
+
+
+def test_power_model_lives_in_model():
+    # the name dcsim.power has one meaning: the function, not a hidden module
+    assert importlib.util.find_spec("dcsim.power") is None
+    assert dcsim.power is dcsim.model.power
+    assert dcsim.accumulate is dcsim.model.accumulate
+    assert dcsim.host_power is dcsim.model.host_power

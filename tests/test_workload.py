@@ -205,7 +205,6 @@ def test_child_rng_independent_streams():
     children = [child_rng(42, i) for i in range(10)]
     seeds = {c.seed for c in children}
     assert len(seeds) == 10
-    assert child_rng(SeededRng(42), 3).seed == child_rng(42, 3).seed
 
 
 def test_child_rng_rejects_negative_index():
