@@ -4,22 +4,27 @@ A placed run is one ``SimulationState``: its scenario, its hosts and VMs,
 its workload trace, whose seed is the run's only seed, and the per-frame
 constants computed from the scenario when the state is built.
 
-Each frame asks the run's workload trace (``workload.WorkloadTrace``, the
-one seam through which utilizations enter) for every resident of the
-fleet in one call, host by host in resident order.  Then it goes once
-over the hosts in fleet order: for each host with VMs it sums their
-demands once, shares the host's MIPS proportionally and records SLA
-measurements.  Then it goes once over the residents, in the same order,
-and advances each VM's work (finished VMs leave the fleet).  Then the
-frame's energy is charged host by host from those loads: a loaded host's
-linear power at its load, inline, and each run's constant draws (NPA's
-peak, an empty host's idle) from terms computed once per run.  Last the
-policy is invoked, its migration plan applied and host power states
-adjusted.  SLA and energy are therefore charged against the placement in
-force during the frame, and the policy reacts to the loads it just
-observed.  Static runs (NPA, DVFS) placed alike on one workload trace
-share that pass, each charged on its own meter.  A run that cannot end
-is stopped before its first frame (``run_lockstep``).
+Each frame steps over the run's frame layout: its residents host by host
+in resident order, their VM states and requested MIPS, and one span per
+host with residents.  The layout is derived from the hosts' resident
+lists, which change only when a VM finishes or a migration plan moves one,
+so it is kept between frames and rebuilt on the first frame after such a
+change (``SimulationState``).  Each frame asks the run's workload trace
+(``workload.WorkloadTrace``, the one seam through which utilizations
+enter) for every resident in one call, in layout order.  Then it goes once
+over the spans, in fleet order: for each host with VMs it sums their
+demands once, shares the host's MIPS proportionally when they exceed it
+and records SLA measurements.  Then it goes once over the residents, in
+the same order, and advances each VM's work (finished VMs leave the
+fleet).  Then the frame's energy is charged host by host from those loads:
+a loaded host's linear power at its load, inline, and each run's constant
+draws (NPA's peak, an empty host's idle) from terms computed once per run.
+Last the policy is invoked, its migration plan applied and host power
+states adjusted.  SLA and energy are therefore charged against the
+placement in force during the frame, and the policy reacts to the loads it
+just observed.  Static runs (NPA, DVFS) placed alike on one workload trace
+share that pass, each charged on its own meter.  A run that cannot end is
+stopped before its first frame (``run_lockstep``).
 """
 
 import math
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from operator import mul
 
 from .model import (STATIC_KINDS, FrameMetrics, HostState, PlacementPlan, RunMetrics,
-                    Scenario, VmState, add_up)
+                    Scenario, VmState)
 from .placement import HostSnapshot, PlacementRequest, VmRequest, mbfd
 from . import policies
 from .workload import SeededRng, WorkloadTrace
@@ -52,6 +57,17 @@ class StalledRunError(ValueError):
 
 @dataclass
 class SimulationState:
+    """A placed run: its scenario, host and VM states, workload trace and meters.
+
+    ``layout`` is the frame layout that ``step`` steps over (``_layout``),
+    derived from the hosts' resident lists: None until ``step`` builds it,
+    and dropped by ``step`` when a VM finishes or a migration plan with
+    moves is applied.  So between steps only ``step`` may change a placed
+    run's ``resident_vms``; code that moves a VM between steps must set
+    ``layout`` to None.  A static run that shares another's pass
+    (``run_lockstep``) is stepped through that run's layout.
+    """
+
     frame_index: int
     scenario: Scenario  # the run's seed is its trace's, not the scenario's
     hosts: list  # hosts[i] has id i, as in the Scenario
@@ -63,6 +79,7 @@ class SimulationState:
     energy_wh: float = 0.0
     frames: list = field(default_factory=list)
     constant: tuple = field(init=False)  # the run's per-frame constants (``_constant``)
+    layout: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.constant = _constant(self.scenario)
@@ -162,6 +179,24 @@ def _constant(scenario):
     return draws, coefficients, [v.requested_mips for v in scenario.vms]
 
 
+def _layout(state):
+    """The frame layout of ``state``'s hosts as they stand.
+
+    That is, host by host in resident order, the residents' ids, their VM
+    states and their requested MIPS, and one ``(host id, start, end, MIPS
+    capacity)`` span per host with residents, in fleet order: the host's
+    residents are ``[start:end]`` of the three lists.
+    """
+    ids, spans = [], []
+    for host in state.hosts:
+        if host.resident_vms:
+            start = len(ids)
+            ids += host.resident_vms
+            spans.append((host.spec.id, start, len(ids), host.spec.mips_capacity))
+    return (ids, list(map(state.vms.__getitem__, ids)),
+            list(map(state.constant[2].__getitem__, ids)), spans)
+
+
 def _charge(run, loads):
     """Charge ``run`` its fleet's energy for one frame; returns the frame's energy.
 
@@ -200,18 +235,24 @@ def _charge(run, loads):
 def step(state: SimulationState, sharing=()):
     """Advance the simulation by one frame; returns the frame's metrics.
 
-    The whole fleet's residents, host by host in resident order, take their
-    utilizations at the frame from one ``state.trace.utilizations`` call,
-    and each host takes its slice; a run sharing the trace may have drawn
-    them already.  The trace raises ``RuntimeError`` when runs sharing it
-    fall out of lockstep.  Each VM's demand is its utilization times its
-    requested MIPS, in that order, as a C-level map.
+    The step goes over the run's frame layout (``_layout``), built here
+    when ``state.layout`` is None and dropped when a VM finishes or a plan
+    with moves is applied.  The whole fleet's residents, in layout order,
+    take their utilizations at the frame from one
+    ``state.trace.utilizations`` call, and each host takes its slice; a run
+    sharing the trace may have drawn them already.  The trace raises
+    ``RuntimeError`` when runs sharing it fall out of lockstep.  Each VM's
+    demand is its utilization times its requested MIPS, in that order, as a
+    C-level map.
 
-    Each host with VMs has its demands summed once, left to right; that
-    load goes to ``share_mips`` and to the energy charge (``_charge``).  A
-    host with no residents is not shared, and its draw, like every NPA
-    host's, is the run's constant term, computed when its state was built.
-    Then one loop over the residents, in the same order, advances their work.
+    Each span's demands are summed once, left to right from 0.0, as
+    ``model.add_up`` sums them; that load goes to the energy charge
+    (``_charge``) and, only when it exceeds the host's capacity (when
+    ``load <= capacity`` fails, NaN included, as in ``share_mips``), to
+    ``share_mips``.  A host with no residents has no span and is not
+    shared; its draw, like every NPA host's, is the run's constant term,
+    computed when its state was built.  Then one loop over the residents,
+    in the same order, advances their work.
 
     ``sharing`` lists the states of static runs that hold this run's VM
     states and host resident lists, as ``run_lockstep`` arranges; this
@@ -230,31 +271,27 @@ def step(state: SimulationState, sharing=()):
     shortfall_sum = 0.0
 
     # 1. utilization from the trace, the whole fleet's residents in one
-    # batch, host by host in resident order: a reflected random walk over
-    # keyed uniform draws, so the trace for (seed, vm, frame) is
-    # policy-independent
-    ids = [vm_id for host in state.hosts for vm_id in host.resident_vms]
-    utilizations = state.trace.utilizations(ids, frame)
-    fleet = list(map(state.vms.__getitem__, ids))
-    fleet_demands = list(map(mul, utilizations, map(state.constant[2].__getitem__, ids)))
+    # batch, in layout order: a reflected random walk over keyed uniform
+    # draws, so the trace for (seed, vm, frame) is policy-independent
+    if state.layout is None:
+        state.layout = _layout(state)
+    ids, fleet, requested, spans = state.layout
+    fleet_demands = list(map(mul, state.trace.utilizations(ids, frame), requested))
 
     # 2. proportional sharing of each host's summed demand, which is also the
     # load that energy is charged from, so an oversubscribed host is exactly
     # at full load; SLA accounting, host by host in resident order, where a
     # share falls short
     fleet_alloc = fleet_demands
-    loads = []  # each host's load in MIPS, or None when it has no residents
-    end = 0
-    for host in state.hosts:
-        if not host.resident_vms:
-            loads.append(None)
-            continue
-        start, end = end, end + len(host.resident_vms)
+    loads = [None] * len(state.hosts)  # each host's load in MIPS, None when empty
+    for host_id, start, end, capacity in spans:
         demands = fleet_demands[start:end]
-        load = add_up(demands)
-        loads.append(load)
-        alloc = share_mips(host, demands, load)
-        if alloc is not demands:
+        load = 0.0  # model.add_up, inline
+        for d in demands:
+            load += d
+        loads[host_id] = load
+        if not load <= capacity:
+            alloc = share_mips(state.hosts[host_id], demands, load)
             for d, a in zip(demands, alloc):
                 if a < d:
                     violations += 1
@@ -278,6 +315,7 @@ def step(state: SimulationState, sharing=()):
             vm.host_id = None
             vm.demand_mips = 0.0
             del active[vm_id]
+            state.layout = None
 
     # 4. each run's energy, from the loads and the power states in force
     # during the frame
@@ -286,6 +324,7 @@ def step(state: SimulationState, sharing=()):
     # 5. policy reallocation, applied atomically
     plan = policies.reallocate(scenario.policy, state.hosts, active, state.rng)
     for v, src, dst in plan.moves:
+        state.layout = None
         state.hosts[src].resident_vms.remove(v)
         target = state.hosts[dst]
         target.powered_on = True
@@ -395,7 +434,7 @@ def _alike(a, b):
 
 def _share_vms(lead, state):
     """Point ``state`` at the VM states and resident lists of ``lead``."""
-    state.vms, state.active = lead.vms, lead.active
+    state.vms, state.active, state.layout = lead.vms, lead.active, None
     for host, lead_host in zip(state.hosts, lead.hosts):
         host.resident_vms = lead_host.resident_vms
 

@@ -136,9 +136,11 @@ class WorkloadTrace:
     it.  The trace holds two values per VM, in two lists indexed by VM id
     (``current[v]`` is None until VM ``v`` is drawn at ``frame``), however
     many frames or runs read it.  Its ``frame`` is -1 until its first draw.
+    It also keeps the lanes of the last id list it drew in full, joined, for
+    the next full draw of an equal list.
     """
 
-    __slots__ = ("seed", "n_vms", "frame", "current", "previous", "_lanes")
+    __slots__ = ("seed", "n_vms", "frame", "current", "previous", "_lanes", "_joined")
 
     def __init__(self, seed: int, n_vms: int):
         self.seed = seed & _MASK64
@@ -149,6 +151,8 @@ class WorkloadTrace:
         # each VM's _mix_key(mixed seed, vm id) as a ``_top_bits`` lane, by vm id
         mixed_seed = _mix64(self.seed)
         self._lanes = [_mix_key(mixed_seed, v).to_bytes(16, "little") for v in range(n_vms)]
+        # (a copy of the last id list drawn in full, its lanes joined)
+        self._joined = ([], b"")
 
     def utilizations(self, vm_ids, frame: int) -> list:
         """Each VM's utilization at ``frame``, in the order of ``vm_ids``.
@@ -163,7 +167,9 @@ class WorkloadTrace:
         first-key mixes in one ``_top_bits`` batch, and the walk's float
         operations are spelled out inline (``b * 2.0 ** -52`` is exactly
         ``2.0 * draw``).  On a frame's first call every VM is drawn and the
-        values drawn are returned as they are.
+        values drawn are returned as they are; its lanes are joined anew
+        only when ``vm_ids`` differs in value from the last list so drawn,
+        a copy of which the trace keeps, so a caller may edit its list.
         """
         current = self.current
         if self.frame != frame:
@@ -177,8 +183,13 @@ class WorkloadTrace:
             drawn = [v for v in vm_ids if current[v] is None]
             if not drawn:
                 return list(map(current.__getitem__, vm_ids))
-        bits = _top_bits(b"".join(map(self._lanes.__getitem__, drawn)),
-                         (frame * _GOLDEN) & _MASK64)
+        if drawn is vm_ids and self._joined[0] == vm_ids:
+            lanes = self._joined[1]
+        else:
+            lanes = b"".join(map(self._lanes.__getitem__, drawn))
+            if drawn is vm_ids:
+                self._joined = (list(vm_ids), lanes)
+        bits = _top_bits(lanes, (frame * _GOLDEN) & _MASK64)
         values = []
         append = values.append
         if frame:

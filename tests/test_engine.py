@@ -288,25 +288,55 @@ def test_empty_npa_host_draws_peak_power():
     assert state.energy_wh == 0.1 + 247.3 * 60.0 / 3600.0 + 247.3 * 60.0 / 3600.0
 
 
-def test_empty_hosts_are_neither_shared_nor_powered(monkeypatch):
-    shared = []
-
-    def spy(host, demands, load):
-        shared.append(host.spec.id)
-        return share_mips(host, demands, load)
-    monkeypatch.setattr(engine, "share_mips", spy)
+def test_empty_hosts_are_neither_shared_nor_powered():
     # one VM on host 0; hosts 1 to 3 are empty, host 1 is on and 2 and 3 are off
     sc = small_scenario(policy="DVFS", n_hosts=4, vm_mips=(250.0,))
     state = sampled(sc, pinned(1.0))
     state.hosts[1].powered_on = True
     assert [h.powered_on for h in state.hosts] == [True, True, False, False]
     step(state)
-    assert shared == [0]
+    # the frame went over one span, host 0's, holding VM 0
+    assert state.layout == ([0], [state.vms[0]], [250.0], [(0, 0, 1, 1000.0)])
     # host 0 at its load, then host 1's idle draw, and nothing for hosts 2 and 3
     spec = sc.hosts[0]
     expected = accumulate(accumulate(0.0, power(spec, 250.0 / 1000.0), 60.0),
                           power(spec, 0.0), 60.0)
     assert state.frames[0].energy_wh == state.energy_wh == expected
+
+
+def test_the_frame_layout_is_kept_until_a_vm_finishes():
+    # all three VMs on host 0; VM 1 finishes in frame 0, the others go on
+    sc = small_scenario(policy="DVFS", n_hosts=2, vm_mips=(250.0, 250.0, 250.0),
+                        work=15000.0)
+    state = sampled(sc, lambda vm_id, frame: 1.0 if vm_id == 1 else 0.1)
+    assert state.layout is None
+    step(state)
+    assert state.layout is None and state.active.keys() == {0, 2}
+    step(state)
+    layout = state.layout
+    assert layout == ([0, 2], [state.vms[0], state.vms[2]], [250.0, 250.0],
+                      [(0, 0, 2, 1000.0)])
+    step(state)
+    assert state.layout is layout
+
+
+def test_only_an_overloaded_host_is_shared(monkeypatch):
+    # VMs 0 and 1 overload host 0; VM 2 fits on host 1
+    shared = []
+
+    def spy(host, demands, load):
+        shared.append(host.spec.id)
+        return share_mips(host, demands, load)
+    monkeypatch.setattr(engine, "share_mips", spy)
+    sc = small_scenario(policy="DVFS", n_hosts=3, vm_mips=(600.0, 600.0, 250.0))
+    state = sampled(sc, pinned(1.0))
+    for host, residents in zip(state.hosts, ([0, 1], [2], [])):
+        host.resident_vms, host.powered_on = residents, bool(residents)
+        for v in residents:
+            state.vms[v].host_id = host.spec.id
+    assert_consistent(state)
+    step(state)
+    assert shared == [0]
 
 
 def test_frame_that_advances_no_work_stops_the_run(monkeypatch):

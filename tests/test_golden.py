@@ -195,9 +195,11 @@ def test_static_runs_share_a_pass_only_when_placed_alike():
 
 
 def test_static_rows_make_one_host_pass(monkeypatch):
+    # a frame's pass over the hosts asks the trace for their residents once
     calls = []
-    share_mips = engine.share_mips
-    monkeypatch.setattr(engine, "share_mips", lambda *args: calls.append(1) or share_mips(*args))
+    utilizations = WorkloadTrace.utilizations
+    monkeypatch.setattr(WorkloadTrace, "utilizations",
+                        lambda *args: calls.append(1) or utilizations(*args))
 
     def host_passes(rows):
         calls.clear()

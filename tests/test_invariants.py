@@ -8,15 +8,24 @@ each row's ``RunMetrics`` or in a clean ``ValueError``,
 ``step`` each run stepped must hold:
 
 - its host and VM states agree (``test_engine.assert_consistent``);
+- its frame layout, when it has one, is the one its hosts give now;
 - the frame's SLA violations are at most its measurements;
 - under MM, HPG and RC, no host that was off is on;
 - under ST, MM, HPG and RC, no powered-on host is empty.
 
 That a host's residents fit its RAM and storage is not among them: a
 policy pass can still overfill a host (see ``CHANGES.md``).
+
+Last, a falsified property must be reported as a failure beside the tests
+after it, not end the session.
 """
 
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from operator import is_
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import event, given, settings, strategies as st
@@ -54,6 +63,11 @@ def _checked_step(state, sharing=()):
     frame = _step(state, sharing)
     for run, before in zip(runs, was_on):
         assert_consistent(run)
+        if run.layout is not None:
+            ids, fleet, requested, spans = run.layout
+            rebuilt = engine._layout(run)
+            assert (ids, requested, spans) == (rebuilt[0], rebuilt[2], rebuilt[3])
+            assert len(fleet) == len(rebuilt[1]) and all(map(is_, fleet, rebuilt[1]))
         assert run.frames[-1].violation_events <= run.frames[-1].measurements
         kind = run.scenario.policy.kind
         if kind in TWO_THRESHOLD_KINDS:
@@ -86,3 +100,25 @@ def test_every_run_keeps_its_invariants_after_every_step(hosts, vms, rows, frame
                               else "no migration"))
     assert len(metrics) == len(rows)
     assert all(isinstance(m, RunMetrics) for m in metrics)
+
+
+def test_a_falsified_property_is_reported_beside_the_tests_after_it(tmp_path):
+    # under this project's warning filters, in a session of its own
+    (tmp_path / "test_child.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_falsified(x):
+            assert x < 5
+
+
+        def test_passes():
+            pass
+        """))
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                            "-c", str(config), "--rootdir", str(tmp_path), "test_child.py"],
+                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in child.stdout + child.stderr
+    assert "1 failed, 1 passed" in child.stdout.splitlines()[-1]

@@ -26,19 +26,31 @@ def _count(source):
 
 
 def ratio_line(line):
-    """(median, lower quartile, upper quartile, wins, rounds) of the last line."""
+    """(median, lower quartile, upper quartile, wins, rounds) of the ratio line."""
     match = re.fullmatch(r"median ratio (\S+) \(change / parent\), quartiles (\S+) to (\S+), "
                          r"change faster in (\d+) of (\d+) rounds", line)
     assert match, line
     return tuple(map(float, match.groups()))
 
 
+def gain_line(line):
+    """(verdict, wins, rounds, wins needed, median gap, "more" or "no more", parent's spread)
+    of the last line."""
+    match = re.fullmatch(r"gain rule (holds|fails): change faster in (\d+) of (\d+) rounds "
+                         r"\((\d+) needed\); parent's median less change's is (\S+) s, "
+                         r"(more|no more) than the parent's quartile spread of (\S+) s", line)
+    assert match, line
+    verdict, wins, rounds, needed, gap, more, spread = match.groups()
+    return verdict, int(wins), int(rounds), int(needed), float(gap), more, float(spread)
+
+
 def test_ab_time_times_two_checkouts_that_agree(capsys):
     assert _ab_time().main([str(ROOT), "--rounds", "2"] + ARGS) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
-    median, q1, q3, wins, rounds = ratio_line(lines[-1])
+    assert len(lines) == 4
+    median, q1, q3, wins, rounds = ratio_line(lines[-2])
     assert q1 <= median <= q3 and wins <= rounds == 2
+    assert gain_line(lines[-1])[1:4] == (wins, 2, 2)
 
 
 def test_ab_time_prints_the_quartiles_of_the_ratio(capsys, monkeypatch):
@@ -48,10 +60,34 @@ def test_ab_time_prints_the_quartiles_of_the_ratio(capsys, monkeypatch):
     monkeypatch.setattr(module, "run", lambda cli, argv: (next(times), 0, b"report"))
     assert module.main([str(ROOT), "--rounds", "5"] + ARGS) == 0
     # rounds alternate which side goes first; the ratios are 0.5, 0.6, 0.9, 0.8, 1.0
-    assert ratio_line(capsys.readouterr().out.splitlines()[-1]) == (0.8, 0.6, 0.9, 4, 5)
+    *_, ratios, gain = capsys.readouterr().out.splitlines()
+    assert ratio_line(ratios) == (0.8, 0.6, 0.9, 4, 5)
+    # the parent's times are all 1.0, but 4 of 5 rounds fall short of nine tenths
+    assert gain_line(gain) == ("fails", 4, 5, 5, 0.2, "more", 0.0)
     times = iter([2.0, 1.5])
     assert module.main([str(ROOT), "--rounds", "1"] + ARGS) == 0
-    assert ratio_line(capsys.readouterr().out.splitlines()[-1]) == (0.75, 0.75, 0.75, 1, 1)
+    *_, ratios, gain = capsys.readouterr().out.splitlines()
+    assert ratio_line(ratios) == (0.75, 0.75, 0.75, 1, 1)
+    assert gain_line(gain) == ("holds", 1, 1, 1, 0.5, "more", 0.0)
+
+
+def test_ab_time_prints_whether_the_gain_rule_holds(capsys, monkeypatch):
+    module = _ab_time()
+    parent = [1.0, 1.2] * 5  # median 1.1, quartiles 1.0 and 1.2
+    cases = [
+        # faster in every round, but the medians only 0.05 s apart
+        ([p - 0.05 for p in parent], ("fails", 10, 10, 9, 0.05, "no more", 0.2)),
+        # 0.4 s apart, but faster in 8 rounds of 10
+        ([0.7] * 8 + [1.3] * 2, ("fails", 8, 10, 9, 0.4, "more", 0.2)),
+        ([0.7] * 9 + [1.3], ("holds", 9, 10, 9, 0.4, "more", 0.2)),
+    ]
+    for change, expected in cases:
+        # each side's times in round order, whichever side goes first
+        times = {"dcsim_parent.cli": iter(parent), "dcsim_change.cli": iter(change)}
+        monkeypatch.setattr(module, "run",
+                            lambda cli, argv: (next(times[cli.__name__]), 0, b"report"))
+        assert module.main([str(ROOT), "--rounds", "10"] + ARGS) == 0
+        assert gain_line(capsys.readouterr().out.splitlines()[-1]) == expected
 
 
 def test_ab_time_refuses_to_time_reports_that_differ(tmp_path, capsys):

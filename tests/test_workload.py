@@ -270,6 +270,19 @@ def test_a_fresh_trace_refuses_a_first_frame_after_0():
     assert trace.utilizations([0, 1], 0) == [SeededRng(42).keyed_u01(v, 0) for v in (0, 1)]
 
 
+def test_an_id_list_edited_between_frames_draws_as_a_fresh_trace_does():
+    # the trace keeps the joined lanes of the last list it drew in full; an
+    # edit in place leaves the caller's list the same object, so the lanes
+    # must be looked up by the list's value, against a copy of it
+    ids, trace, fresh = [0, 1, 2, 3, 4, 5], WorkloadTrace(9, 6), WorkloadTrace(9, 6)
+    assert trace.utilizations(ids, 0) == fresh.utilizations(list(ids), 0)
+    ids.reverse()
+    assert trace.utilizations(ids, 1) == fresh.utilizations(list(ids), 1)
+    del ids[2:4]
+    assert trace.utilizations(ids, 2) == fresh.utilizations(list(ids), 2)
+    assert trace.utilizations(ids, 3) == fresh.utilizations(list(ids), 3)
+
+
 def test_walk_marginal_stays_uniform():
     # reflection preserves the uniform marginal at every frame
     n = 4000

@@ -8,9 +8,12 @@ in turn, ``--rounds`` times each (default 10), alternating which goes
 first.  Each call is timed in CPU time of this process, with its report
 captured instead of printed.  It refuses to time, and exits 1, when the
 two checkouts' reports differ or a call does not return 0.  Otherwise it
-prints each round's times and, last, the median ratio (this checkout over
-the parent), the ratio's quartiles (the spread that a median is compared
-with) and the rounds in which this checkout was faster.
+prints each round's times, then the median ratio (this checkout over the
+parent), the ratio's quartiles and the rounds in which this checkout was
+faster, and last whether the gain rule holds: this checkout faster in at
+least nine tenths of the rounds (ties count for neither side), and its
+median time below the parent's by more than the distance between the
+quartiles of the parent's own times.
 
 Both sides share one interpreter, so a CPU whose speed changes between
 fresh interpreters, as a shared vCPU's may, moves both alike.  Only the
@@ -90,14 +93,29 @@ def main(argv=None) -> int:
             return 1
         print("round %d: parent %.3f s, change %.3f s"
               % (i + 1, times["parent"][-1], times["change"][-1]))
-    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
-    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    # one round has no spread: its quartiles are its ratio
-    q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1
-                 else ratios * 3)
+    parent, change = times["parent"], times["change"]
+    ratios = [c / p for p, c in zip(parent, change)]
+    wins = sum(c < p for p, c in zip(parent, change))
     print("median ratio %.3f (change / parent), quartiles %.3f to %.3f, change faster in %d "
-          "of %d rounds" % (statistics.median(ratios), q1, q3, wins, args.rounds))
+          "of %d rounds" % (statistics.median(ratios), *quartiles(ratios), wins, args.rounds))
+    # the gain rule: faster in nine tenths of the rounds, rounded up, and the
+    # medians further apart than the parent's own quartiles
+    needed = -(-9 * args.rounds // 10)
+    q1, q3 = quartiles(parent)
+    gap = statistics.median(parent) - statistics.median(change)
+    print("gain rule %s: change faster in %d of %d rounds (%d needed); parent's median less "
+          "change's is %.3f s, %s than the parent's quartile spread of %.3f s"
+          % ("holds" if wins >= needed and gap > q3 - q1 else "fails", wins, args.rounds,
+             needed, gap, "more" if gap > q3 - q1 else "no more", q3 - q1))
     return 0
+
+
+def quartiles(values):
+    """The lower and upper quartiles of ``values``; one value is both."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
 
 
 if __name__ == "__main__":
