@@ -49,6 +49,7 @@ class InfeasibleScenarioError(RuntimeError):
 # take at most a few hundred (about 400 on 5 s frames), so only a frame far
 # too short for the fleet's work comes near it.
 MAX_FRAMES = 100_000
+_FRAME_LIMIT = "the run reached its limit of %d frames with %d VM(s) unfinished; use longer frames"
 
 
 class StalledRunError(ValueError):
@@ -59,6 +60,13 @@ class StalledRunError(ValueError):
 class SimulationState:
     """A placed run: its scenario, host and VM states, workload trace and meters.
 
+    A run is made from the four facts it cannot derive: its scenario, its
+    host and VM states, as placed, and its workload trace, made for as many
+    VMs as the fleet has (else ``ValueError``).  The rest is derived when
+    the state is built: ``rng`` under the trace's seed, ``active`` from the
+    VMs that are placed, ``frame_index``, ``energy_wh`` and ``frames`` at
+    zero, and the per-frame constants of the scenario.
+
     ``layout`` is the frame layout that ``step`` steps over (``_layout``),
     derived from the hosts' resident lists: None until ``step`` builds it,
     and dropped by ``step`` when a VM finishes or a migration plan with
@@ -68,20 +76,26 @@ class SimulationState:
     (``run_lockstep``) is stepped through that run's layout.
     """
 
-    frame_index: int
     scenario: Scenario  # the run's seed is its trace's, not the scenario's
     hosts: list  # hosts[i] has id i, as in the Scenario
     vms: list  # vms[i] has id i: every VM of the fleet, finished ones included
-    rng: SeededRng  # under the seed of ``trace``
     trace: WorkloadTrace
+    rng: SeededRng = field(init=False)  # under the seed of ``trace``
     # vm id -> VmState for every VM with work left; a VM leaves when it finishes
-    active: dict = field(default_factory=dict)
-    energy_wh: float = 0.0
-    frames: list = field(default_factory=list)
+    active: dict = field(init=False)
+    frame_index: int = field(init=False)
+    energy_wh: float = field(init=False)
+    frames: list = field(init=False)
     constant: tuple = field(init=False)  # the run's per-frame constants (``_constant``)
     layout: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.trace.n_vms != len(self.vms):
+            raise ValueError("a fleet of %d VMs cannot share a workload trace of %d VMs"
+                             % (len(self.vms), self.trace.n_vms))
+        self.rng = SeededRng(self.trace.seed)
+        self.active = {vm.spec.id: vm for vm in self.vms if vm.host_id is not None}
+        self.frame_index, self.energy_wh, self.frames = 0, 0.0, []
         self.constant = _constant(self.scenario)
 
 
@@ -122,10 +136,6 @@ def placed_state(scenario: Scenario, plan: PlacementPlan, trace=None) -> Simulat
             or not set(assignments.values()) <= set(range(len(scenario.hosts)))):
         raise ValueError("the plan does not place this fleet of %d VMs on %d hosts"
                          % (n_vms, len(scenario.hosts)))
-    trace = WorkloadTrace(scenario.seed, n_vms) if trace is None else trace
-    if trace.n_vms != n_vms:
-        raise ValueError("a fleet of %d VMs cannot share a workload trace of %d VMs"
-                         % (n_vms, trace.n_vms))
     hosts = [HostState(spec=h, powered_on=False) for h in scenario.hosts]
     vms = []
     for v in scenario.vms:
@@ -135,9 +145,8 @@ def placed_state(scenario: Scenario, plan: PlacementPlan, trace=None) -> Simulat
                            remaining_work_mi=v.total_work_mi))
     for host in hosts:
         host.powered_on = scenario.policy.kind == "NPA" or bool(host.resident_vms)
-    return SimulationState(frame_index=0, scenario=scenario, hosts=hosts, vms=vms,
-                           rng=SeededRng(trace.seed), trace=trace,
-                           active={vm.spec.id: vm for vm in vms})
+    trace = WorkloadTrace(scenario.seed, n_vms) if trace is None else trace
+    return SimulationState(scenario, hosts, vms, trace)
 
 
 def initial_placement(scenario: Scenario, trace=None) -> SimulationState:
@@ -391,8 +400,7 @@ def run_lockstep(states):
         stuck = sum(not r or vm.remaining_work_mi / r > frames for vm, r in zip(vms, rates))
         if stuck and any(vm.remaining_work_mi - r < vm.remaining_work_mi
                          for vm, r in zip(vms, rates)):
-            raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
-                                  "unfinished; use longer frames" % (MAX_FRAMES, stuck))
+            raise StalledRunError(_FRAME_LIMIT % (MAX_FRAMES, stuck))
         if stuck:
             raise StalledRunError("frame %d advanced no VM's remaining work; the run "
                                   "cannot end" % state.frame_index)
@@ -410,9 +418,7 @@ def run_lockstep(states):
     while passes:
         for state, sharing in passes:
             if state.frame_index == MAX_FRAMES:
-                raise StalledRunError("the run reached its limit of %d frames with %d VM(s) "
-                                      "unfinished; use longer frames"
-                                      % (MAX_FRAMES, len(state.active)))
+                raise StalledRunError(_FRAME_LIMIT % (MAX_FRAMES, len(state.active)))
             step(state, sharing=sharing)
         passes = [p for p in passes if p[0].active]
     return [_run_metrics(state) for state in states]

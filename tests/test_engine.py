@@ -1,5 +1,6 @@
 """Simulation loop: placement, sharing, energy, work, determinism."""
 
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -246,10 +247,8 @@ def test_oversubscribed_host_draws_exactly_peak_power():
     vms = [VmState(spec=v, host_id=0, remaining_work_mi=v.total_work_mi) for v in vm_specs]
     sc = Scenario(hosts=(spec,), vms=tuple(vm_specs), policy=PolicyConfig("DVFS"),
                   frame_seconds=60.0)
-    state = SimulationState(frame_index=0, scenario=sc,
-                            hosts=[HostState(spec=spec, resident_vms=[0, 1, 2])],
-                            vms=vms, rng=SeededRng(1), trace=SampledTrace(1, 3, pinned(1.0)),
-                            active={v.spec.id: v for v in vms})
+    state = SimulationState(scenario=sc, hosts=[HostState(spec=spec, resident_vms=[0, 1, 2])],
+                            vms=vms, trace=SampledTrace(1, 3, pinned(1.0)))
     metrics = step(state)
     assert metrics.violation_events == 3
     assert metrics.energy_wh == power(spec, 1.0) * 60.0 / 3600.0
@@ -267,8 +266,10 @@ def two_odd_hosts(policy, work_mi, second_on, u):
              HostState(spec=specs[1], powered_on=second_on)]
     sc = Scenario(hosts=specs, vms=(vm_spec,), policy=PolicyConfig(policy),
                   frame_seconds=60.0)
-    return SimulationState(frame_index=0, scenario=sc, hosts=hosts, vms=[vm], rng=SeededRng(1),
-                           trace=SampledTrace(1, 1, pinned(u)), active={0: vm}, energy_wh=0.1)
+    state = SimulationState(scenario=sc, hosts=hosts, vms=[vm],
+                            trace=SampledTrace(1, 1, pinned(u)))
+    state.energy_wh = 0.1
+    return state
 
 
 def test_empty_dvfs_hosts_draw_idle_when_on_and_nothing_when_off():
@@ -557,6 +558,24 @@ def test_runs_on_fleets_of_two_sizes_cannot_share_a_trace():
         placed_state(mm, engine.place_fleet(mm), trace)
     # nothing was drawn, and the first run goes on alone
     assert trace.current == [] and engine.run_lockstep([state]) == [simulate(dvfs)[1]]
+
+
+def test_a_run_is_made_from_its_scenario_hosts_vms_and_trace():
+    # the rest is derived: the trace's seed, the placed VMs, meters at zero
+    assert [f.name for f in dataclasses.fields(SimulationState) if f.init] == [
+        "scenario", "hosts", "vms", "trace"]
+    sc = small_scenario(vm_mips=(250.0, 500.0, 750.0))
+    placed = placed_state(sc, engine.place_fleet(sc), WorkloadTrace(7, 3))
+    # VM 1 has finished
+    placed.hosts[placed.vms[1].host_id].resident_vms.remove(1)
+    placed.vms[1].host_id = None
+    state = SimulationState(sc, placed.hosts, placed.vms, placed.trace)
+    assert state.rng.seed == 7 and state.active == {0: state.vms[0], 2: state.vms[2]}
+    assert (state.frame_index, state.energy_wh, state.frames, state.layout) == (0, 0.0, [], None)
+    # a hand-built run is checked as a placed one is
+    with pytest.raises(ValueError, match="^a fleet of 3 VMs cannot share a workload trace of "
+                                         "2 VMs$"):
+        SimulationState(sc, placed.hosts, placed.vms, WorkloadTrace(7, 2))
 
 
 def test_a_run_refuses_a_plan_for_another_fleet():

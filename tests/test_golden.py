@@ -11,7 +11,9 @@ MIPS, RAM and storage) through the library; it was written by the commit
 before the one that folded the engine's per-frame host and VM passes into
 one.  The fifth, the static rows on 5 s frames, was written by the commit
 before the one that made static rows on one trace share a frame pass.
-A change that alters results on
+The sixth, the default experiment of 10 runs, was written by the commit
+before the one that made a run's state derive its RNG, running-VM index
+and meters.  A change that alters results on
 purpose (such as the exact tie rule for placement in ROADMAP item 1)
 regenerates them with the same command lines and says so.
 
@@ -40,6 +42,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     # the paper's seven-row experiment, as the benchmark's paper-default runs it
     ("paper_default_runs2_seed42.csv", ["--runs", "2", "--seed", "42"]),
+    # the same experiment at its default of 10 runs
+    ("paper_default_runs10_seed42.csv", ["--seed", "42"]),
     # the two-threshold policies, whose relief and evacuation passes call MBFD
     ("two_threshold_30_70_hosts30_seed42.csv",
      ["--policy", "MM", "--policy", "HPG", "--policy", "RC", "--lower", "30", "--upper", "70",

@@ -11,7 +11,12 @@ each row's ``RunMetrics`` or in a clean ``ValueError``,
 - its frame layout, when it has one, is the one its hosts give now;
 - the frame's SLA violations are at most its measurements;
 - under MM, HPG and RC, no host that was off is on;
-- under ST, MM, HPG and RC, no powered-on host is empty.
+- under ST, MM, HPG and RC, no powered-on host is empty;
+- the frame's energy lies between the idle and the peak draws of the
+  hosts that were on when it began, and under NPA equals the peak draws;
+- each VM resident when the frame began ends it with exactly its
+  remaining work less its share of its host's MIPS times the frame's
+  length, or, when that share covers its work, with none left and no host.
 
 That a host's residents fit its RAM and storage is not among them: a
 policy pass can still overfill a host (see ``CHANGES.md``).
@@ -20,6 +25,7 @@ Last, a falsified property must be reported as a failure beside the tests
 after it, not end the session.
 """
 
+import math
 import subprocess
 import sys
 import textwrap
@@ -60,8 +66,10 @@ _step = engine.step
 def _checked_step(state, sharing=()):
     runs = [state, *sharing]
     was_on = [[h.powered_on for h in run.hosts] for run in runs]
+    residents = [[list(h.resident_vms) for h in run.hosts] for run in runs]
+    work_left = [[vm.remaining_work_mi for vm in run.vms] for run in runs]
     frame = _step(state, sharing)
-    for run, before in zip(runs, was_on):
+    for run, before, placed, left in zip(runs, was_on, residents, work_left):
         assert_consistent(run)
         if run.layout is not None:
             ids, fleet, requested, spans = run.layout
@@ -74,7 +82,44 @@ def _checked_step(state, sharing=()):
             assert all(on or not h.powered_on for h, on in zip(run.hosts, before))
         if kind not in STATIC_KINDS:
             assert all(h.resident_vms for h in run.hosts if h.powered_on)
+        _check_energy(run, before)
+        _check_work(run, placed, left)
     return frame
+
+
+def _check_energy(run, was_on):
+    """The frame's energy lies between its powered-on hosts' idle and peak draws.
+
+    The frame's energy is the difference of two running totals, each host's
+    term rounded onto the total, so it is compared with a slack of one ulp
+    of the total per host, and two more.
+    """
+    dt = run.scenario.frame_seconds
+    on = [h.spec for h, was in zip(run.hosts, was_on) if was]
+    idle = math.fsum(s.idle_fraction * s.p_max_watts * dt / 3600.0 for s in on)
+    peak = math.fsum(s.p_max_watts * dt / 3600.0 for s in on)
+    frame_wh, slack = run.frames[-1].energy_wh, (len(run.hosts) + 2) * math.ulp(run.energy_wh)
+    assert idle - slack <= frame_wh <= peak + slack
+    if run.scenario.policy.kind == "NPA":
+        assert abs(frame_wh - peak) <= slack
+
+
+def _check_work(run, residents, work_left):
+    """Each VM resident at the frame's start did its share of the frame's work, exactly."""
+    dt, current = run.scenario.frame_seconds, run.trace.current
+    for host, vm_ids in zip(run.hosts, residents):
+        demands = [current[v] * run.vms[v].spec.requested_mips for v in vm_ids]
+        load, capacity = 0.0, host.spec.mips_capacity
+        for d in demands:
+            load += d
+        for v, d in zip(vm_ids, demands):
+            share, vm, left = d, run.vms[v], work_left[v]
+            if load > capacity:
+                share = d * (capacity / load)
+            if share * dt >= left:
+                assert (vm.remaining_work_mi, vm.host_id) == (0.0, None)
+            else:
+                assert vm.remaining_work_mi == left - share * dt
 
 
 @settings(max_examples=200, deadline=None)
